@@ -1,11 +1,16 @@
 """The polynomials Q_n(z) by four independent methods.
 
-Q_n(z) = sum over partitions of n of prod_{cells} (1 + z/hook^2); its
-coefficient table A[n][k] can equally be computed from trivial-leg hooks,
-from part-multiplicity binomials, or from the power-series recursion
-A_{n,k} = (1/k!) sum_i p(n-i) c_{i,k} with c_{i,k} the coefficients of f^k.
-The recursion is the designated route for large n; the enumeration methods
+Q_n(z) = sum over partitions of n of prod_{cells} (1 + z/hook^2), and
+sum_n Q_n(z) q^n = prod_{m>=1} (1 - q^m)^(-z-1).  The coefficient table
+A[n][k] can equally be computed from trivial-leg hooks, from part-multiplicity
+binomials, or from the recurrence n Q_n = (z+1) sum_{j<=n} sigma(j) Q_{n-j}
+of Heim and Neuhauser (Integers 18, 2018), which is q d/dq of the product.
+The recurrence is the designated route for large n; the enumeration methods
 are capped by a configurable partition budget.
+
+The recurrence and the hook routes run in integers over a known common
+denominator (n! for the recurrence and the trivial-leg hooks, (n!)^2 for the
+hooks) and make Fractions only for the values they return.
 """
 
 from __future__ import annotations
@@ -13,18 +18,17 @@ from __future__ import annotations
 import json
 import math
 import os
-import threading
 from dataclasses import dataclass
 from fractions import Fraction
+from operator import mul
 
 from .partitions import (
     enumerate_partitions,
     hook_lengths,
     multiplicities,
-    partition_count,
     trivial_leg_hooks,
 )
-from .series import RationalSeries, f_series, partition_series, series_multiply
+from .series import RationalSeries, sigma_sieve
 from .stirling import q_coeffs
 
 DEFAULT_ENUM_LIMIT = 32
@@ -76,41 +80,43 @@ class QPolynomial:
         )
 
 
-def _poly_sum_over_partitions(n: int, hooks_of, weight_of, limit: int | None) -> QPolynomial:
+def _poly_sum_over_partitions(n: int, hooks_of, square: bool, limit: int | None) -> QPolynomial:
+    """Sum prod (1 + z/w) over the partitions of n, w = h^2 or h over hooks_of.
+
+    Each term is written over the common denominator D = (n!)^2 (squared
+    hooks) or D = n! (trivial-leg hooks) as prod (w + z) * (D / prod w);
+    prod w divides D (it is (n!/f_lambda)^2, resp. a product of factorials of
+    row-length differences), so the sum stays in integers and D is divided
+    out once per coefficient.
+    """
     cap = enumeration_limit(limit)
     if n > cap:
         raise EnumerationLimitError(n, cap)
-    total = [Fraction(0)] * (n + 1)
+    denom = math.factorial(n) ** (2 if square else 1)
+    total = [0] * (n + 1)
     for part in enumerate_partitions(n):
-        poly = [Fraction(1)]
-        for h in hooks_of(part):
-            w = weight_of(h)
-            poly = [
-                (poly[i] if i < len(poly) else Fraction(0))
-                + (poly[i - 1] * w if i >= 1 else Fraction(0))
-                for i in range(len(poly) + 1)
-            ]
-        for i, c in enumerate(poly):
-            total[i] += c
-    return QPolynomial(n, tuple(total))
+        weights = [h * h for h in hooks_of(part)] if square else hooks_of(part)
+        poly = [1]  # poly[k] = [z^k] prod (w + z)
+        for w in weights:
+            poly = [w * poly[0]] + [w * poly[i] + poly[i - 1] for i in range(1, len(poly))] + [1]
+        scale = denom // math.prod(weights)
+        for k, c in enumerate(poly):
+            total[k] += c * scale
+    return QPolynomial(n, tuple(Fraction(c, denom) for c in total))
 
 
 def q_via_hooks(n: int, limit: int | None = None) -> QPolynomial:
     """Q_n from the full hook products prod (1 + z/h^2) over all partitions."""
     if n < 0:
         raise ValueError("n must be non-negative")
-    return _poly_sum_over_partitions(
-        n, hook_lengths, lambda h: Fraction(1, h * h), limit
-    )
+    return _poly_sum_over_partitions(n, hook_lengths, True, limit)
 
 
 def q_via_trivial_hooks(n: int, limit: int | None = None) -> QPolynomial:
     """Q_n from products prod (1 + z/h) over the trivial-leg hooks only."""
     if n < 0:
         raise ValueError("n must be non-negative")
-    return _poly_sum_over_partitions(
-        n, trivial_leg_hooks, lambda h: Fraction(1, h), limit
-    )
+    return _poly_sum_over_partitions(n, trivial_leg_hooks, False, limit)
 
 
 def q_via_multiplicities(n: int, limit: int | None = None) -> QPolynomial:
@@ -127,74 +133,103 @@ def q_via_multiplicities(n: int, limit: int | None = None) -> QPolynomial:
     return QPolynomial(n, tuple(total))
 
 
-class _RowLadder:
-    """Cached series S_k with S_k[n] = A_{n,k}, built as S_k = S_{k-1} * f / k.
+class _QTable:
+    """Append-only integer table of R_n = n! Q_n(z), grown to exactly the n asked for.
 
-    S_0 is the partition series, so S_k = (1/k!) f^k * partition series.
-    Rebuilt (with geometric growth) when a larger truncation is needed;
-    warm-up happens under a lock, reads after warm-up are plain.
+    Row n follows from the Heim-Neuhauser recurrence n Q_n = (z+1) sum_j
+    sigma(j) Q_{n-j} as R_n = (z+1) sum_j sigma(j) (n-1)!/(n-j)! R_{n-j},
+    all in integers.  Appending row n also stores its Fraction row
+    A[n][.] = R_n / n! and one more entry of every Fraction column A[.][k],
+    so warm reads return stored values.  The powers of f are kept the same
+    way, as G_j[i] = i! [q^i] f^j, and grown in place when a longer or a
+    higher power is needed.  Nothing is ever rebuilt.  The tables are
+    append-only and unlocked: the package runs single-threaded (scan --jobs
+    uses processes).
     """
 
     def __init__(self):
-        self.n_max = -1
-        self.rows: list[tuple[Fraction, ...]] = []
-        self.f: RationalSeries | None = None
-        self.f_powers: dict[int, RationalSeries] = {}
-        self.lock = threading.Lock()
+        self.int_cols: list[list[int]] = []  # int_cols[k][m - k] = R_m[k] = m! A[m][k]
+        self.rows: list[tuple[Fraction, ...]] = []  # rows[n][k] = A[n][k]
+        self.cols: list[list[Fraction]] = []  # cols[k][m] = A[m][k], zero for m < k
+        self.f_powers: list[list[int]] = [[1]]  # f_powers[j][i] = G_j[i]
+
+    @property
+    def n_max(self) -> int:
+        return len(self.rows) - 1
 
     def ensure(self, n_max: int) -> None:
+        """Append the rows up to n_max: R_n, A[n][.] and one entry of each column."""
         if n_max <= self.n_max:
             return
-        with self.lock:
-            if n_max <= self.n_max:
-                return
-            target = max(n_max, min(2 * self.n_max, 1 << 14)) if self.n_max > 0 else n_max
-            f = f_series(target)
-            fc = f.coeffs
-            rows = [partition_series(target).coeffs]
-            for k in range(1, target + 1):
-                prev = rows[-1]
-                row = [Fraction(0)] * (target + 1)
-                for n in range(k, target + 1):
-                    acc = sum(prev[i] * fc[n - i] for i in range(k - 1, n))
-                    row[n] = acc / k
-                rows.append(tuple(row))
-            self.rows = rows
-            self.f = f
-            self.f_powers = {1: f}
-            self.n_max = target
+        sigma = sigma_sieve(n_max)
+        for n in range(self.n_max + 1, n_max + 1):
+            if n == 0:
+                ints = [1]
+            else:
+                w = _falling_sigma(n, sigma)
+                # s[k] = sum_j w[j-1] R_{n-j}[k]: column k holds R_k..R_{n-1}
+                s = [sum(map(mul, w, reversed(col))) for col in self.int_cols]
+                ints = [s[0]] + [s[k] + s[k - 1] for k in range(1, n)] + [s[n - 1]]
+            fact = math.factorial(n)
+            row = tuple(Fraction(c, fact) for c in ints)
+            for col, c in zip(self.int_cols, ints):
+                col.append(c)
+            for col, c in zip(self.cols, row):
+                col.append(c)
+            self.int_cols.append([ints[n]])
+            self.cols.append([Fraction(0)] * n + [row[n]])
+            self.rows.append(row)
 
-    def f_power(self, j: int) -> RationalSeries:
-        if j < 1:
-            raise ValueError("power must be >= 1")
-        with self.lock:
-            if j not in self.f_powers:
-                top = max(self.f_powers)
-                acc = self.f_powers[top]
-                for i in range(top + 1, j + 1):
-                    acc = series_multiply(acc, self.f)
-                    self.f_powers[i] = acc
-            return self.f_powers[j]
+    def f_power(self, j: int, length: int) -> list[int]:
+        """G_j with at least `length` coefficients, extending G_1..G_j in place.
+
+        G_j[i] = j sum_t sigma(t) (i-1)!/(i-t)! G_{j-1}[i-t], from
+        q d/dq f^j = j f^(j-1) sum_t sigma(t) q^t.  G_p is never longer
+        than G_{p-1}, so a long enough G_j means nothing is to be done.
+        """
+        g = self.f_powers
+        if j < len(g) and len(g[j]) >= length:
+            return g[j]
+        g[0] += [0] * (length - len(g[0]))
+        sigma = sigma_sieve(length)
+        for p in range(1, j + 1):
+            if p == len(g):
+                g.append([])
+            prev, cur = g[p - 1], g[p]
+            for i in range(len(cur), length):
+                cur.append(p * sum(map(mul, _falling_sigma(i, sigma), reversed(prev[:i]))))
+        return g[j]
 
 
-_ladder = _RowLadder()
+def _falling_sigma(n: int, sigma: list[int]) -> list[int]:
+    """sigma(t) (n-1)!/(n-t)! for t = 1..n, the weights of the R_n and G_j recurrences."""
+    w = []
+    ff = 1
+    for t in range(1, n + 1):
+        w.append(sigma[t] * ff)
+        ff *= n - t
+    return w
+
+
+_ladder = _QTable()
 
 
 def q_via_recursion(n: int) -> QPolynomial:
-    """Q_n from the recursion A_{n,k} = (1/k!) sum_i p(n-i) c_{i,k}."""
+    """Q_n from the Heim-Neuhauser recurrence n Q_n = (z+1) sum_j sigma(j) Q_{n-j}.
+
+    The rows are computed once, in integers as n! Q_n, and cached; no
+    partition is enumerated, so this is the route for large n.
+    """
     if n < 0:
         raise ValueError("n must be non-negative")
     _ladder.ensure(n)
-    return QPolynomial(n, tuple(_ladder.rows[k][n] for k in range(n + 1)))
+    return QPolynomial(n, _ladder.rows[n])
 
 
 def q_table_via_recursion(n_max: int) -> list[QPolynomial]:
-    """All of Q_0..Q_{n_max} in one ladder sweep."""
+    """All of Q_0..Q_{n_max} from the cached recurrence table."""
     _ladder.ensure(n_max)
-    return [
-        QPolynomial(n, tuple(_ladder.rows[k][n] for k in range(n + 1)))
-        for n in range(n_max + 1)
-    ]
+    return [QPolynomial(n, _ladder.rows[n]) for n in range(n_max + 1)]
 
 
 def coefficient_series(k: int, n_max: int) -> RationalSeries:
@@ -202,18 +237,22 @@ def coefficient_series(k: int, n_max: int) -> RationalSeries:
     if k < 0:
         raise ValueError("k must be non-negative")
     _ladder.ensure(max(n_max, k))
-    return RationalSeries(_ladder.rows[k][: n_max + 1])
+    return RationalSeries(_ladder.cols[k][: n_max + 1])
 
 
 def a_cross_recursion(a: int, b: int, n: int) -> Fraction:
-    """A_{n,b} = (a!/b!) sum_i A_{n-i,a} c_{i,b-a}, from the cached row a."""
+    """A_{n,b} = (a!/b!) sum_i A_{n-i,a} c_{i,b-a}, with c_{i,j} = [q^i] f^j.
+
+    Computed in integers from column a of the table and G_{b-a}:
+    A_{n,b} = a! sum_i C(n,i) R_{n-i}[a] G_{b-a}[i] / (b! n!).
+    """
     if not (0 <= a < b <= n):
         raise ValueError("requires 0 <= a < b <= n")
     _ladder.ensure(n)
-    row_a = _ladder.rows[a]
-    c = _ladder.f_power(b - a).coeffs
-    acc = sum(row_a[n - i] * c[i] for i in range(b - a, n - a + 1))
-    return acc * Fraction(math.factorial(a), math.factorial(b))
+    col_a = _ladder.int_cols[a]  # col_a[m - a] = R_m[a]
+    g = _ladder.f_power(b - a, n - a + 1)
+    acc = sum(math.comb(n, i) * col_a[n - i - a] * g[i] for i in range(b - a, n - a + 1))
+    return Fraction(math.factorial(a) * acc, math.factorial(b) * math.factorial(n))
 
 
 _METHODS = {

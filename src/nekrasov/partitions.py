@@ -2,7 +2,6 @@
 
 from __future__ import annotations
 
-import threading
 from typing import Iterator
 
 
@@ -78,9 +77,9 @@ def enumerate_partitions(n: int) -> Iterator[Partition]:
             rem -= c
 
 
-# Memo table for p(n); grown under a lock, read freely once warm.
+# Memo table for p(n): append-only and unlocked, since the package runs
+# single-threaded (scan --jobs uses processes).
 _p_memo: list[int] = [1]
-_p_lock = threading.Lock()
 
 
 def partition_count(n: int) -> int:
@@ -89,22 +88,21 @@ def partition_count(n: int) -> int:
         raise ValueError("n must be non-negative")
     if n < len(_p_memo):
         return _p_memo[n]
-    with _p_lock:
-        while len(_p_memo) <= n:
-            m = len(_p_memo)
-            total = 0
-            k = 1
-            while True:
-                g1 = m - k * (3 * k - 1) // 2
-                if g1 < 0:
-                    break
-                term = _p_memo[g1]
-                g2 = m - k * (3 * k + 1) // 2
-                if g2 >= 0:
-                    term += _p_memo[g2]
-                total += term if k % 2 == 1 else -term
-                k += 1
-            _p_memo.append(total)
+    while len(_p_memo) <= n:
+        m = len(_p_memo)
+        total = 0
+        k = 1
+        while True:
+            g1 = m - k * (3 * k - 1) // 2
+            if g1 < 0:
+                break
+            term = _p_memo[g1]
+            g2 = m - k * (3 * k + 1) // 2
+            if g2 >= 0:
+                term += _p_memo[g2]
+            total += term if k % 2 == 1 else -term
+            k += 1
+        _p_memo.append(total)
     return _p_memo[n]
 
 

@@ -244,6 +244,11 @@ def _ld_available() -> bool:
     return np.finfo(np.longdouble).nmant > 52
 
 
+# the normal float64 range, as exact rationals
+_F64_TINY = Fraction(float(np.finfo(np.float64).tiny))
+_F64_MAX = Fraction(float(np.finfo(np.float64).max))
+
+
 class BallSeries:
     """Float enclosure of a series with non-negative coefficients.
 
@@ -285,7 +290,14 @@ class BallSeries:
                 mid[n] = scalar(num) / scalar(den)
                 rad[n] = mid[n] * scalar(2 * unit)
             else:
-                # route through float64: at most two roundings
+                # route through float64: at most two roundings, which holds
+                # only where float64 keeps full precision
+                if c and not _F64_TINY <= c <= _F64_MAX:
+                    digits = len(str(num)) - len(str(den))  # the power of ten, to within one
+                    raise ValueError(
+                        f"series coefficient {n} = about 10^{digits} is outside the "
+                        "normal float64 range, so it cannot be enclosed"
+                    )
                 mid[n] = scalar(float(c))
                 rad[n] = mid[n] * scalar(2.0 ** -50)
         return cls(mid, rad, unit)

@@ -9,7 +9,6 @@ binom(k_j + z, k_j) built from part multiplicities.
 from __future__ import annotations
 
 import math
-import threading
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Iterable
@@ -50,8 +49,9 @@ class StirlingTable:
         return list(self.rows[n])
 
 
+# Shared memo tables: append-only and unlocked, since the package runs
+# single-threaded (scan --jobs uses processes).
 _table = StirlingTable(0)
-_table_lock = threading.Lock()
 
 
 def stirling_unsigned(n: int, m: int) -> int:
@@ -59,24 +59,20 @@ def stirling_unsigned(n: int, m: int) -> int:
     if n < 0 or m < 0 or m > n:
         raise ValueError(f"invalid Stirling indices [{n} {m}]")
     if n > _table.n_max:
-        with _table_lock:
-            _table.extend(n)
+        _table.extend(n)
     return _table.rows[n][m]
 
 
 _h_memo: list[Fraction] = [Fraction(0)]
-_h_lock = threading.Lock()
 
 
 def harmonic(n: int) -> Fraction:
     """The n-th harmonic number, exactly."""
     if n < 1:
         raise ValueError("n must be positive")
-    if n >= len(_h_memo):
-        with _h_lock:
-            while len(_h_memo) <= n:
-                m = len(_h_memo)
-                _h_memo.append(_h_memo[m - 1] + Fraction(1, m))
+    while len(_h_memo) <= n:
+        m = len(_h_memo)
+        _h_memo.append(_h_memo[m - 1] + Fraction(1, m))
     return _h_memo[n]
 
 

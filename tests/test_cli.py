@@ -224,6 +224,21 @@ def test_scan_uncertified_exit_status(capsys):
     assert "uncertified" in err
 
 
+def test_scan_rule_outside_float_range_exits_2(capsys):
+    from fractions import Fraction
+
+    from nekrasov.series import RationalSeries, register_series_rule
+
+    register_series_rule(
+        "huge-coefficient-cli-test",
+        lambda n: RationalSeries([0, 1, Fraction(10**400)] + [1] * (n - 2)),
+    )
+    code, _, err = run(capsys, "scan", "--k", "1", "--n-max", "12",
+                       "--rule", "huge-coefficient-cli-test", "--mode", "adaptive-float")
+    assert code == EXIT_ABORTED
+    assert "coefficient 2" in err and "float64" in err
+
+
 def test_qpoly_disagreement_exit_status(capsys, monkeypatch):
     from fractions import Fraction
 

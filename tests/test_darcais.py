@@ -9,6 +9,7 @@ import pytest
 from nekrasov.darcais import (
     EnumerationLimitError,
     QPolynomial,
+    _QTable,
     a_cross_recursion,
     coefficient_series,
     enumeration_limit,
@@ -19,8 +20,19 @@ from nekrasov.darcais import (
     q_via_recursion,
     q_via_trivial_hooks,
 )
-from nekrasov.partitions import partition_count
-from nekrasov.series import f_series, partition_series, series_multiply, series_power
+from nekrasov.partitions import (
+    enumerate_partitions,
+    hook_lengths,
+    partition_count,
+    trivial_leg_hooks,
+)
+from nekrasov.series import (
+    RationalSeries,
+    f_series,
+    partition_series,
+    series_multiply,
+    series_power,
+)
 
 # published values of Q_0..Q_3
 KNOWN = {
@@ -131,3 +143,117 @@ def test_q_polynomial_dispatch():
     assert q_polynomial(2, "hooks").coeffs == KNOWN[2]
     with pytest.raises(ValueError):
         q_polynomial(2, "nope")
+
+
+# ---------------------------------------------------------------------------
+# Fraction references that the integer kernels replaced, kept as oracles
+# ---------------------------------------------------------------------------
+
+class FractionLadder:
+    """Columns S_k with S_k[n] = A_{n,k}, built as S_k = S_{k-1} * f / k.
+
+    S_0 is the partition series, so S_k = (1/k!) f^k * partition series.
+    """
+
+    def __init__(self, n_max: int):
+        f = f_series(n_max)
+        fc = f.coeffs
+        rows = [partition_series(n_max).coeffs]
+        for k in range(1, n_max + 1):
+            prev = rows[-1]
+            row = [Fraction(0)] * (n_max + 1)
+            for n in range(k, n_max + 1):
+                acc = sum(prev[i] * fc[n - i] for i in range(k - 1, n))
+                row[n] = acc / k
+            rows.append(tuple(row))
+        self.rows = rows
+        self.f = f
+        self.f_powers = {1: f}
+
+    def f_power(self, j: int) -> RationalSeries:
+        if j not in self.f_powers:
+            top = max(self.f_powers)
+            acc = self.f_powers[top]
+            for i in range(top + 1, j + 1):
+                acc = series_multiply(acc, self.f)
+                self.f_powers[i] = acc
+        return self.f_powers[j]
+
+    def a_cross(self, a: int, b: int, n: int) -> Fraction:
+        row_a = self.rows[a]
+        c = self.f_power(b - a).coeffs
+        acc = sum(row_a[n - i] * c[i] for i in range(b - a, n - a + 1))
+        return acc * Fraction(math.factorial(a), math.factorial(b))
+
+
+def fraction_poly_sum(n: int, hooks_of, weight_of) -> tuple[Fraction, ...]:
+    """Sum over the partitions of n of prod (1 + weight_of(h) z), in Fractions."""
+    total = [Fraction(0)] * (n + 1)
+    for part in enumerate_partitions(n):
+        poly = [Fraction(1)]
+        for h in hooks_of(part):
+            w = weight_of(h)
+            poly = [
+                (poly[i] if i < len(poly) else Fraction(0))
+                + (poly[i - 1] * w if i >= 1 else Fraction(0))
+                for i in range(len(poly) + 1)
+            ]
+        for i, c in enumerate(poly):
+            total[i] += c
+    return tuple(total)
+
+
+@pytest.fixture(scope="module")
+def ladder_60():
+    return FractionLadder(60)
+
+
+def test_rows_match_fraction_ladder(ladder_60):
+    for n in range(61):
+        expected = tuple(ladder_60.rows[k][n] for k in range(n + 1))
+        assert q_via_recursion(n).coeffs == expected
+
+
+def test_columns_match_fraction_ladder(ladder_60):
+    for k in range(11):
+        assert coefficient_series(k, 40).coeffs == ladder_60.rows[k][:41]
+
+
+def test_cross_recursion_matches_fraction_ladder(ladder_60):
+    for n in range(26):
+        for b in range(1, n + 1):
+            for a in range(b):
+                assert a_cross_recursion(a, b, n) == ladder_60.a_cross(a, b, n)
+
+
+def test_hook_sums_match_fraction_sums():
+    for n in range(17):
+        assert q_via_hooks(n).coeffs == fraction_poly_sum(
+            n, hook_lengths, lambda h: Fraction(1, h * h)
+        )
+        assert q_via_trivial_hooks(n).coeffs == fraction_poly_sum(
+            n, trivial_leg_hooks, lambda h: Fraction(1, h)
+        )
+
+
+def test_table_growth_order_does_not_matter():
+    grown = _QTable()
+    for n in (30, 10, 90, 50):
+        grown.ensure(n)
+    grown.f_power(2, 10)
+    grown.f_power(4, 40)
+    grown.f_power(1, 25)
+    built = _QTable()
+    built.ensure(90)
+    built.f_power(4, 40)
+    assert grown.n_max == built.n_max == 90
+    assert grown.rows == built.rows
+    assert grown.cols == built.cols
+    assert grown.int_cols == built.int_cols
+    assert grown.f_powers == built.f_powers
+    f = f_series(39)
+    for j in range(5):
+        power = series_power(f, j)
+        assert [Fraction(g, math.factorial(i)) for i, g in enumerate(built.f_powers[j])] == list(
+            power.coeffs
+        )

@@ -1,6 +1,7 @@
 """Exact series arithmetic against direct-summation and enumeration oracles."""
 
 import math
+import re
 from fractions import Fraction
 from itertools import product
 
@@ -230,6 +231,20 @@ def test_ball_series_from_fractions_encloses():
     ball = BallSeries.from_fractions(coeffs).power(2)
     lo, hi = ball.bounds()
     assert all(lo[n] <= exact[n] <= hi[n] for n in range(31))
+
+
+@pytest.mark.parametrize(
+    "value, shown",
+    [
+        (Fraction(1, 10**400), "about 10^-400"),  # underflows to 0.0
+        (Fraction(3, 10**310), "about 10^-310"),  # subnormal in float64
+        (Fraction(10**400), "about 10^400"),  # float() overflows
+    ],
+)
+def test_ball_series_from_fractions_refuses_outside_normal_range(value, shown):
+    for dtype in (np.float64, np.longdouble):
+        with pytest.raises(ValueError, match=re.escape(f"coefficient 2 = {shown} is ")):
+            BallSeries.from_fractions([Fraction(0), Fraction(1), value], dtype)
 
 
 def test_ball_series_longdouble_tighter():
