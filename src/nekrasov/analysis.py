@@ -3,9 +3,12 @@
 The scanners look for the first n where the coefficients c_{n,k} of f(q)^k
 violate log-concavity (c_n^2 < c_{n-1} c_{n+1}).  Two modes:
 
-* exact: scaled-integer convolution (one common denominator per power row),
-  every comparison an integer cross-multiplication.  The truncation order
-  doubles until a violation is found or n_max is reached.
+* exact: one power row of integers over a common denominator, extended in
+  place by Miller's recurrence, so every comparison is an integer
+  cross-multiplication.  The truncation order doubles until a violation is
+  found or n_max is reached; each doubling only appends and checks the new
+  coefficients.  The same rows serve the exact fallback below, the
+  coefficients c_{n,k}, the partial sums and the truncated surrogates.
 * adaptive-float: ball-arithmetic enclosures at 53 bits, escalated to 64-bit
   extended precision where a comparison's enclosures overlap, then to exact
   rationals below the exact-fallback bound.  A comparison is never reported
@@ -19,6 +22,8 @@ import math
 import time
 from dataclasses import dataclass
 from fractions import Fraction
+from itertools import accumulate
+from operator import mul
 from typing import Callable, Sequence
 
 import numpy as np
@@ -29,11 +34,11 @@ from .series import (
     _ld_available,
     custom_series,
     pi2_over_6_bounds,
-    sigma_sieve,
 )
 
 DEFAULT_EXACT_FALLBACK = 400
 DEFAULT_PRECISION_CAP = 212
+SCAN_LIMIT = 2**18  # the largest n_max a scan accepts: every default bound up to k = 17
 SCAN_CSV_HEADER = "k,n0,mode,elapsed_ms,n_max"
 RATIO_CSV_HEADER = "k,n,ratio_lo,ratio_hi,envelope"
 
@@ -160,52 +165,62 @@ class ShapeReport:
 
 
 # ---------------------------------------------------------------------------
-# Exact scaled-integer power rows
+# Exact power rows, extended in place by Miller's recurrence
 # ---------------------------------------------------------------------------
 
-def _scaled_sigma_base(n_max: int) -> tuple[list[int], int, int]:
-    """f(q) coefficients as integers over the common denominator lcm(1..n_max)."""
-    if n_max < 1:
-        raise ValueError("n_max must be >= 1")
-    denom = math.lcm(*range(1, n_max + 1))
-    sig = sigma_sieve(n_max)
-    nums = [0] + [sig[n] * (denom // n) for n in range(1, n_max + 1)]
-    return nums, denom, 1
-
-
-def _scaled_rule_base(rule: str, n_max: int) -> tuple[list[int], int, int]:
-    """A registered series over the lcm of its coefficient denominators."""
+def _scaled_rule_base(rule: str, n_max: int) -> tuple[list[int], int]:
+    """A registered series as (numerators, denominator): the lcm of its denominators."""
     coeffs = custom_series(rule, n_max).coeffs
     denom = math.lcm(*(c.denominator for c in coeffs))
-    nums = []
-    min_deg = None
-    for n, c in enumerate(coeffs):
-        scaled = c * denom
-        nums.append(scaled.numerator)
-        if min_deg is None and scaled != 0:
-            min_deg = n
-    return nums, denom, 0 if min_deg is None else min_deg
+    return [c.numerator * (denom // c.denominator) for c in coeffs], denom
 
 
-def _int_power_row(base: list[int], k: int, n_max: int, base_min: int) -> list[int]:
-    """Numerators of base^k (common denominator: base's denominator to the k)."""
-    row = list(base)
-    row_min = base_min
-    for _ in range(2, k + 1):
-        new = [0] * (n_max + 1)
-        for n in range(row_min + base_min, n_max + 1):
-            hi = n - base_min
-            new[n] = sum(row[i] * base[n - i] for i in range(row_min, hi + 1))
-        row = new
-        row_min += base_min
-    return row
+class _PowerRow:
+    """Coefficients of f^k for a registered rule f, as integers over denom^k.
 
+    base[n] = f_n denom and nums[n] = [q^n] f^k denom^k, where denom is the lcm
+    of f's denominators up to the current order.  With base = q^m0 h(q), h_0 != 0,
+    g_i = nums[k m0 + i] follows from J.C.P. Miller's recurrence (Knuth, TAOCP
+    vol. 2, 4.7) i h_0 g_i = sum_{j=1..i} ((k+1) j - i) h_j g_{i-j}, whose
+    divisions are exact.  `extend` appends coefficients and rescales the stored
+    ones by (denom'/denom)^k when denom grows; nothing is recomputed.
+    """
 
-def _first_violation_exact(row: list[int], n_lo: int, n_hi: int) -> int | None:
-    for n in range(n_lo, n_hi + 1):
-        if row[n] * row[n] < row[n - 1] * row[n + 1]:
-            return n
-    return None
+    def __init__(self, k: int, rule: str):
+        self.k = k
+        self.rule = rule
+        self.base: list[int] = []
+        self.denom = 1
+        self.nums: list[int] = []
+
+    def extend(self, order: int) -> None:
+        """Make nums[0..order] available."""
+        old = len(self.nums)
+        if order < old:
+            return
+        base, denom = _scaled_rule_base(self.rule, order)
+        scale, rem = divmod(denom, self.denom)
+        if rem or [c * scale for c in self.base] != base[:old]:
+            raise ValueError(f"series rule {self.rule!r} changed its coefficients below q^{old}")
+        k = self.k
+        factor = scale**k
+        nums = self.nums = [c * factor for c in self.nums]
+        self.base, self.denom = base, denom
+        if k <= 1:  # f^0 = 1 and f^1 = f need no recurrence
+            nums.extend(base[old:] if k else (int(n == 0) for n in range(old, order + 1)))
+            return
+        m0 = next((i for i, c in enumerate(base) if c), order + 1)
+        off = k * m0
+        h = base[m0:]
+        for n in range(old, order + 1):
+            i = n - off
+            if i <= 0:
+                nums.append(h[0] ** k if i == 0 else 0)
+                continue
+            weighted = map(mul, range(k + 1 - i, k * i + 1, k + 1), h[1 : i + 1])
+            g, rem = divmod(sum(map(mul, weighted, reversed(nums[off:n]))), i * h[0])
+            assert rem == 0, "Miller's recurrence divides exactly"
+            nums.append(g)
 
 
 # ---------------------------------------------------------------------------
@@ -247,14 +262,15 @@ def _scan_core(
     k: int,
     n_max: int,
     mode: str,
-    exact_base: Callable[[int], tuple[list[int], int, int]],
+    rule: str,
     ball_base: Callable[[int, object], BallSeries],
     exact_fallback: int,
     precision_cap: int,
-    rule: str,
 ) -> ScanReport:
     if n_max < 3:
         raise ValueError("n_max must be >= 3")
+    if n_max > SCAN_LIMIT:
+        raise ValueError(f"n_max={n_max} is above the scan limit {SCAN_LIMIT}")
     if mode not in ("exact", "adaptive-float"):
         raise ValueError(f"unknown mode {mode!r}")
     if precision_cap < 53:
@@ -262,18 +278,19 @@ def _scan_core(
     start = time.perf_counter()
 
     if mode == "exact":
-        order = min(max(64, k + 2), n_max)
+        row = _PowerRow(k, rule)
+        lo, order = 2, min(max(64, k + 2), n_max)
         while True:
-            nums, _, base_min = exact_base(order)
-            row = _int_power_row(nums, k, order, base_min)
-            n0 = _first_violation_exact(row, 2, order - 1)
+            row.extend(order)
+            c = row.nums
+            n0 = next((n for n in range(lo, order) if c[n] * c[n] < c[n - 1] * c[n + 1]), None)
             if n0 is not None or order == n_max:
                 checked = (n0 - 1) if n0 is not None else order - 2
                 return ScanReport(
                     k, n_max, n0, "exact", True, checked,
                     time.perf_counter() - start, rule,
                 )
-            order = min(2 * order, n_max)
+            lo, order = order, min(2 * order, n_max)
 
     dtypes: list = [np.float64]
     if precision_cap >= 64 and _ld_available():
@@ -288,11 +305,10 @@ def _scan_core(
     undecided = outcome.undecided
     if undecided:
         resolvable = [u for u in undecided if u <= exact_fallback]
-        exact_row = None
+        exact_row = _PowerRow(k, rule)
         if resolvable:
-            cap = max(resolvable) + 1
-            nums, _, base_min = exact_base(cap)
-            exact_row = _int_power_row(nums, k, cap, base_min)
+            exact_row.extend(max(resolvable) + 1)
+        c = exact_row.nums
         for u in sorted(undecided):
             if u > exact_fallback:
                 # cannot certify triple u; the first-violation claim is void
@@ -301,7 +317,7 @@ def _scan_core(
                     outcome.last_n - 1 - len([x for x in undecided if x >= u]),
                     time.perf_counter() - start, rule,
                 )
-            if exact_row[u] * exact_row[u] < exact_row[u - 1] * exact_row[u + 1]:
+            if c[u] * c[u] < c[u - 1] * c[u + 1]:
                 viol = u
                 break
     checked = (viol - 1) if viol is not None else outcome.last_n - 1
@@ -331,10 +347,9 @@ def scan_conjecture(
     if n_max is None:
         n_max = default_scan_bound(k)
     return _scan_core(
-        k, n_max, mode,
-        lambda order: _scaled_sigma_base(order),
+        k, n_max, mode, "sigma-minus-one",
         lambda order, dtype: BallSeries.divisor_sum_series(order, dtype),
-        exact_fallback, precision_cap, "sigma-minus-one",
+        exact_fallback, precision_cap,
     )
 
 
@@ -351,12 +366,11 @@ def scan_conjecture_custom(
     if k < 1:
         raise ValueError("k must be >= 1")
     return _scan_core(
-        k, n_max if n_max is not None else default_scan_bound(k), mode,
-        lambda order: _scaled_rule_base(rule, order),
+        k, n_max if n_max is not None else default_scan_bound(k), mode, rule,
         lambda order, dtype: BallSeries.from_fractions(
             custom_series(rule, order).coeffs, dtype
         ),
-        exact_fallback, precision_cap, rule,
+        exact_fallback, precision_cap,
     )
 
 
@@ -364,31 +378,22 @@ def scan_conjecture_custom(
 # Exact coefficient rows of f^k, cached for the ratio and surrogate reports
 # ---------------------------------------------------------------------------
 
-_row_cache: dict[int, tuple[list[int], int, int]] = {}
+_row_cache: dict[int, _PowerRow] = {}
 
 
-def _exact_sigma_row(k: int, n_max: int) -> tuple[list[int], int]:
-    """(numerators, denominator) of c_{0..n_max,k}, cached per k."""
-    cached = _row_cache.get(k)
-    if cached is not None and cached[2] >= n_max:
-        return cached[0], cached[1]
-    nums, denom, base_min = _scaled_sigma_base(max(n_max, 1))
-    row = _int_power_row(nums, k, n_max, base_min)
-    full_denom = denom**k
-    _row_cache[k] = (row, full_denom, n_max)
-    return row, full_denom
+def _exact_sigma_row(k: int, n_max: int) -> _PowerRow:
+    """The cached power row of f^k (one per k), extended to q^n_max at least."""
+    row = _row_cache.setdefault(k, _PowerRow(k, "sigma-minus-one"))
+    row.extend(n_max)
+    return row
 
 
 def coefficient_c(n: int, k: int) -> Fraction:
     """c_{n,k}: the coefficient of q^n in f(q)^k, exactly."""
     if k < 0 or n < 0:
         raise ValueError("indices must be non-negative")
-    if k == 0:
-        return Fraction(1 if n == 0 else 0)
-    if n == 0:
-        return Fraction(0)
-    row, denom = _exact_sigma_row(k, n)
-    return Fraction(row[n], denom)
+    row = _exact_sigma_row(k, n)
+    return Fraction(row.nums[n], row.denom**k)
 
 
 # ---------------------------------------------------------------------------
@@ -401,15 +406,18 @@ _FLOAT_OUT = 2.0**-50  # outward widening for one nearest-rounded conversion
 def partial_sum_ratio(k: int, n: int) -> RatioReport:
     """Ratio of sum_{m<=n} c_{m,k} against (pi^2/6)^k binom(n,k).
 
-    The partial sum is exact; the reference value is enclosed by the dyadic
-    pi^2/6 bounds, and the ratio endpoints are rounded outwards.
+    The partial sum is exact, as sum_i c_{i,k-1} F_{n-i} with F the prefix
+    sums of f, so it needs the row of f^(k-1) only; the reference value is
+    enclosed by the dyadic pi^2/6 bounds, and the ratio endpoints are
+    rounded outwards.
     """
     if k < 1:
         raise ValueError("k must be >= 1")
     if n < max(2, k * k):
         raise ValueError(f"requires n >= max(2, k^2) = {max(2, k * k)}")
-    row, denom = _exact_sigma_row(k, n)
-    lhs = Fraction(sum(row[: n + 1]), denom)
+    row = _exact_sigma_row(k - 1, n)
+    prefix = list(accumulate(row.base[: n + 1]))
+    lhs = Fraction(sum(map(mul, row.nums[: n + 1], reversed(prefix))), row.denom**k)
     lo6, hi6 = pi2_over_6_bounds()
     binom = math.comb(n, k)
     rhs_lo = lo6**k * binom
@@ -464,11 +472,7 @@ def surrogate_truncated(n: int, k: int) -> Fraction:
     """(1/k!) sum_{i=0}^{n-26} p(n-i) c_{i,k}, exactly."""
     if n < 27 or k < 0:
         raise ValueError("requires n >= 27 and k >= 0")
-    if k == 0:
-        return Fraction(partition_count(n))
-    row, denom = _exact_sigma_row(k, n - 26)
-    total = sum(partition_count(n - i) * row[i] for i in range(1, n - 25))
-    return Fraction(total, denom * math.factorial(k))
+    return surrogate_truncated_sequence(k, n, n)[0]
 
 
 def surrogate_binomial_sequence(k: int, n_lo: int, n_hi: int) -> list[Fraction]:
@@ -479,15 +483,12 @@ def surrogate_truncated_sequence(k: int, n_lo: int, n_hi: int) -> list[Fraction]
     """Values of the truncated surrogate over a range, one row fetch."""
     if n_lo < 27:
         raise ValueError("requires n_lo >= 27")
-    if k == 0:
-        return [Fraction(partition_count(n)) for n in range(n_lo, n_hi + 1)]
-    row, denom = _exact_sigma_row(k, max(n_hi - 26, 1))
-    kf = math.factorial(k)
-    out = []
-    for n in range(n_lo, n_hi + 1):
-        total = sum(partition_count(n - i) * row[i] for i in range(1, n - 25))
-        out.append(Fraction(total, denom * kf))
-    return out
+    row = _exact_sigma_row(k, max(n_hi - 26, 1))
+    denom = row.denom**k * math.factorial(k)
+    return [
+        Fraction(sum(partition_count(n - i) * row.nums[i] for i in range(n - 25)), denom)
+        for n in range(n_lo, n_hi + 1)
+    ]
 
 
 def shape_report(n: int) -> ShapeReport:

@@ -425,7 +425,7 @@ def build_parser() -> argparse.ArgumentParser:
     sc = sub.add_parser("scan", help="first log-concavity violation of c_{.,k}")
     sc.add_argument("--k", required=True, help="single k or inclusive range lo..hi")
     sc.add_argument("--n-max", type=int, default=None,
-                    help="scan bound (default: max(2*2^k, 256))")
+                    help="scan bound (default: max(2*2^k, 256); at most 2^18)")
     sc.add_argument("--rule", default="sigma-minus-one",
                     choices=series.series_rule_names())
     _add_shared(sc, "csv")

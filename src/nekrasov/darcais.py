@@ -8,9 +8,9 @@ of Heim and Neuhauser (Integers 18, 2018), which is q d/dq of the product.
 The recurrence is the designated route for large n; the enumeration methods
 are capped by a configurable partition budget.
 
-The recurrence and the hook routes run in integers over a known common
-denominator (n! for the recurrence and the trivial-leg hooks, (n!)^2 for the
-hooks) and make Fractions only for the values they return.
+Every route runs in integers over a known common denominator (n! for the
+recurrence, the trivial-leg hooks and the multiplicities, (n!)^2 for the
+hooks) and makes Fractions only for the values it returns.
 """
 
 from __future__ import annotations
@@ -29,7 +29,7 @@ from .partitions import (
     trivial_leg_hooks,
 )
 from .series import RationalSeries, sigma_sieve
-from .stirling import q_coeffs
+from .stirling import q_coeff_numerators
 
 DEFAULT_ENUM_LIMIT = 32
 ENUM_LIMIT_ENV = "NEKRASOV_ENUM_LIMIT"
@@ -80,57 +80,54 @@ class QPolynomial:
         )
 
 
-def _poly_sum_over_partitions(n: int, hooks_of, square: bool, limit: int | None) -> QPolynomial:
-    """Sum prod (1 + z/w) over the partitions of n, w = h^2 or h over hooks_of.
+def _poly_sum_over_partitions(n: int, term, fact_power: int, limit: int | None) -> QPolynomial:
+    """Sum poly(z) / div over the partitions of n, with (poly, div) = term(part).
 
-    Each term is written over the common denominator D = (n!)^2 (squared
-    hooks) or D = n! (trivial-leg hooks) as prod (w + z) * (D / prod w);
-    prod w divides D (it is (n!/f_lambda)^2, resp. a product of factorials of
-    row-length differences), so the sum stays in integers and D is divided
-    out once per coefficient.
+    Every div divides D = (n!)^fact_power, so each term is added as
+    poly * (D / div) in integers and D is divided out once per coefficient:
+    the product of the squared hooks is (n!/f_lambda)^2, that of the
+    trivial-leg hooks is a product of factorials of row-length differences,
+    and prod_j k_j! divides n! since the multiplicities sum to at most n.
     """
+    if n < 0:
+        raise ValueError("n must be non-negative")
     cap = enumeration_limit(limit)
     if n > cap:
         raise EnumerationLimitError(n, cap)
-    denom = math.factorial(n) ** (2 if square else 1)
+    denom = math.factorial(n) ** fact_power
     total = [0] * (n + 1)
     for part in enumerate_partitions(n):
-        weights = [h * h for h in hooks_of(part)] if square else hooks_of(part)
-        poly = [1]  # poly[k] = [z^k] prod (w + z)
-        for w in weights:
-            poly = [w * poly[0]] + [w * poly[i] + poly[i - 1] for i in range(1, len(poly))] + [1]
-        scale = denom // math.prod(weights)
+        poly, div = term(part)
+        scale = denom // div
         for k, c in enumerate(poly):
             total[k] += c * scale
     return QPolynomial(n, tuple(Fraction(c, denom) for c in total))
 
 
+def _hook_term(hooks: list[int], power: int) -> tuple[list[int], int]:
+    """prod (1 + z/w) over w = h^power as (prod (w + z), prod w)."""
+    weights = [h**power for h in hooks]
+    poly = [1]  # poly[k] = [z^k] prod (w + z)
+    for w in weights:
+        poly = [w * poly[0]] + [w * poly[i] + poly[i - 1] for i in range(1, len(poly))] + [1]
+    return poly, math.prod(weights)
+
+
 def q_via_hooks(n: int, limit: int | None = None) -> QPolynomial:
     """Q_n from the full hook products prod (1 + z/h^2) over all partitions."""
-    if n < 0:
-        raise ValueError("n must be non-negative")
-    return _poly_sum_over_partitions(n, hook_lengths, True, limit)
+    return _poly_sum_over_partitions(n, lambda p: _hook_term(hook_lengths(p), 2), 2, limit)
 
 
 def q_via_trivial_hooks(n: int, limit: int | None = None) -> QPolynomial:
     """Q_n from products prod (1 + z/h) over the trivial-leg hooks only."""
-    if n < 0:
-        raise ValueError("n must be non-negative")
-    return _poly_sum_over_partitions(n, trivial_leg_hooks, False, limit)
+    return _poly_sum_over_partitions(n, lambda p: _hook_term(trivial_leg_hooks(p), 1), 1, limit)
 
 
 def q_via_multiplicities(n: int, limit: int | None = None) -> QPolynomial:
     """Q_n as the sum over partitions of prod_j binom(k_j + z, k_j)."""
-    if n < 0:
-        raise ValueError("n must be non-negative")
-    cap = enumeration_limit(limit)
-    if n > cap:
-        raise EnumerationLimitError(n, cap)
-    total = [Fraction(0)] * (n + 1)
-    for part in enumerate_partitions(n):
-        for i, c in enumerate(q_coeffs(multiplicities(part).values())):
-            total[i] += c
-    return QPolynomial(n, tuple(total))
+    return _poly_sum_over_partitions(
+        n, lambda part: q_coeff_numerators(multiplicities(part).values()), 1, limit
+    )
 
 
 class _QTable:
@@ -139,18 +136,16 @@ class _QTable:
     Row n follows from the Heim-Neuhauser recurrence n Q_n = (z+1) sum_j
     sigma(j) Q_{n-j} as R_n = (z+1) sum_j sigma(j) (n-1)!/(n-j)! R_{n-j},
     all in integers.  Appending row n also stores its Fraction row
-    A[n][.] = R_n / n! and one more entry of every Fraction column A[.][k],
-    so warm reads return stored values.  The powers of f are kept the same
-    way, as G_j[i] = i! [q^i] f^j, and grown in place when a longer or a
-    higher power is needed.  Nothing is ever rebuilt.  The tables are
-    append-only and unlocked: the package runs single-threaded (scan --jobs
-    uses processes).
+    A[n][.] = R_n / n!, so warm reads return stored values; a column A[.][k]
+    is read off the rows.  The powers of f are kept the same way, as
+    G_j[i] = i! [q^i] f^j, and grown in place when a longer or a higher power
+    is needed.  Nothing is ever rebuilt.  The tables are append-only and
+    unlocked: the package runs single-threaded (scan --jobs uses processes).
     """
 
     def __init__(self):
         self.int_cols: list[list[int]] = []  # int_cols[k][m - k] = R_m[k] = m! A[m][k]
         self.rows: list[tuple[Fraction, ...]] = []  # rows[n][k] = A[n][k]
-        self.cols: list[list[Fraction]] = []  # cols[k][m] = A[m][k], zero for m < k
         self.f_powers: list[list[int]] = [[1]]  # f_powers[j][i] = G_j[i]
 
     @property
@@ -158,7 +153,7 @@ class _QTable:
         return len(self.rows) - 1
 
     def ensure(self, n_max: int) -> None:
-        """Append the rows up to n_max: R_n, A[n][.] and one entry of each column."""
+        """Append the rows up to n_max: R_n and A[n][.]."""
         if n_max <= self.n_max:
             return
         sigma = sigma_sieve(n_max)
@@ -174,10 +169,7 @@ class _QTable:
             row = tuple(Fraction(c, fact) for c in ints)
             for col, c in zip(self.int_cols, ints):
                 col.append(c)
-            for col, c in zip(self.cols, row):
-                col.append(c)
             self.int_cols.append([ints[n]])
-            self.cols.append([Fraction(0)] * n + [row[n]])
             self.rows.append(row)
 
     def f_power(self, j: int, length: int) -> list[int]:
@@ -237,7 +229,8 @@ def coefficient_series(k: int, n_max: int) -> RationalSeries:
     if k < 0:
         raise ValueError("k must be non-negative")
     _ladder.ensure(max(n_max, k))
-    return RationalSeries(_ladder.cols[k][: n_max + 1])
+    rows, zero = _ladder.rows, Fraction(0)
+    return RationalSeries([rows[m][k] if m >= k else zero for m in range(n_max + 1)])
 
 
 def a_cross_recursion(a: int, b: int, n: int) -> Fraction:

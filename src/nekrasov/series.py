@@ -55,7 +55,7 @@ class RationalSeries:
     def __init__(self, coeffs: Sequence):
         if len(coeffs) == 0:
             raise ValueError("a series needs at least the constant coefficient")
-        self.coeffs = tuple(Fraction(c) for c in coeffs)
+        self.coeffs = tuple(c if isinstance(c, Fraction) else Fraction(c) for c in coeffs)
 
     @property
     def order(self) -> int:

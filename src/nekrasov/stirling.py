@@ -118,8 +118,8 @@ def _nonzero_counts(k_vec: Iterable[int]) -> list[int]:
     return counts
 
 
-def q_coeffs(k_vec: Iterable[int]) -> list[Fraction]:
-    """Coefficients of prod_j binom(k_j + z, k_j) in z.
+def q_coeff_numerators(k_vec: Iterable[int]) -> tuple[list[int], int]:
+    """Coefficients of prod_j binom(k_j + z, k_j) in z, as (numerators, prod_j k_j!).
 
     Each factor expands through the rising factorial:
     binom(k+z, k) = (1/k!) sum_l [k+1, l+1] z^l.  Entries with k_j = 0
@@ -132,11 +132,16 @@ def q_coeffs(k_vec: Iterable[int]) -> list[Fraction]:
         row = [stirling_unsigned(k + 1, l + 1) for l in range(k + 1)]
         new = [0] * (len(coeffs) + k)
         for i, a in enumerate(coeffs):
-            if a:
-                for l, b in enumerate(row):
-                    new[i + l] += a * b
+            for l, b in enumerate(row):
+                new[i + l] += a * b
         coeffs = new
         denom *= math.factorial(k)
+    return coeffs, denom
+
+
+def q_coeffs(k_vec: Iterable[int]) -> list[Fraction]:
+    """Coefficients of prod_j binom(k_j + z, k_j) in z, exactly."""
+    coeffs, denom = q_coeff_numerators(k_vec)
     return [Fraction(c, denom) for c in coeffs]
 
 

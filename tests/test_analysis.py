@@ -6,6 +6,8 @@ from fractions import Fraction
 import pytest
 
 from nekrasov.analysis import (
+    SCAN_LIMIT,
+    _PowerRow,
     coefficient_c,
     hardy_ramanujan_ratio,
     is_log_concave,
@@ -23,7 +25,14 @@ from nekrasov.analysis import (
 )
 from nekrasov.darcais import q_via_recursion
 from nekrasov.partitions import partition_count
-from nekrasov.series import custom_series, f_series, series_power, sigma_minus1
+from nekrasov.series import (
+    RationalSeries,
+    custom_series,
+    f_series,
+    register_series_rule,
+    series_power,
+    sigma_minus1,
+)
 
 
 def test_is_log_concave_basics():
@@ -293,3 +302,113 @@ def test_log_concave_implies_unimodal_on_rows():
         coeffs = q_via_recursion(n).coeffs
         if is_log_concave(coeffs) is None and all(c > 0 for c in coeffs):
             assert is_unimodal(coeffs)[0]
+
+
+# ---------------------------------------------------------------------------
+# The power-row kernel against the Fraction power series_power
+# ---------------------------------------------------------------------------
+
+def _late_start(n: int) -> RationalSeries:
+    # first nonzero coefficient at q^70
+    tail = [Fraction(m % 7 + 1, m % 5 + 1) for m in range(70, n + 1)]
+    return RationalSeries([0] * min(n + 1, 70) + tail)
+
+
+def _mixed_signs(n: int) -> RationalSeries:
+    # nonzero constant term, negative leading coefficient, mixed signs
+    return RationalSeries(
+        [Fraction(-3, 2)] + [Fraction(-m if m % 3 == 1 else m, m % 4 + 1) for m in range(1, n + 1)]
+    )
+
+
+register_series_rule("late-start-test", _late_start)
+register_series_rule("mixed-signs-test", _mixed_signs)
+register_series_rule("all-zero-test", lambda n: RationalSeries([0] * (n + 1)))
+KERNEL_RULES = [
+    "sigma-minus-one", "remark-series", "late-start-test", "mixed-signs-test", "all-zero-test",
+]
+
+
+def _row_values(row: _PowerRow) -> list[Fraction]:
+    return [Fraction(c, row.denom**row.k) for c in row.nums]
+
+
+@pytest.mark.parametrize("rule", KERNEL_RULES)
+def test_power_row_matches_series_power(rule):
+    f = custom_series(rule, 60)
+    for k in range(10):
+        oracle = list(series_power(f, k).coeffs)
+        built = _PowerRow(k, rule)
+        built.extend(60)
+        assert _row_values(built) == oracle
+        grown = _PowerRow(k, rule)
+        for order in (5, 17, 40, 60):
+            grown.extend(order)
+            assert _row_values(grown) == oracle[: order + 1]
+
+
+def test_power_row_late_start_through_first_order():
+    f = custom_series("late-start-test", 200)
+    for k in (1, 2):
+        row = _PowerRow(k, "late-start-test")
+        row.extend(64)
+        assert not any(row.nums)
+        row.extend(128)
+        row.extend(200)
+        sq = series_power(f, k).coeffs
+        assert _row_values(row) == list(sq)
+        expected = next((n for n in range(2, 200) if sq[n] * sq[n] < sq[n - 1] * sq[n + 1]), None)
+        report = scan_conjecture_custom("late-start-test", k, 200, "exact")
+        assert report.certified and report.n0 == expected
+
+
+def test_power_row_extended_in_steps_equals_built_at_once():
+    for rule in ("sigma-minus-one", "remark-series", "mixed-signs-test"):
+        for k in (2, 5):
+            grown = _PowerRow(k, rule)
+            for order in (64, 100, 200):
+                grown.extend(order)
+            built = _PowerRow(k, rule)
+            built.extend(200)
+            assert (grown.nums, grown.denom, grown.base) == (built.nums, built.denom, built.base)
+
+
+def test_power_row_refuses_a_rule_that_rewrites_its_prefix():
+    register_series_rule(
+        "order-dependent-test", lambda n: RationalSeries([0] + [Fraction(1, n)] * n)
+    )
+    row = _PowerRow(2, "order-dependent-test")
+    row.extend(10)
+    with pytest.raises(ValueError, match="changed its coefficients"):
+        row.extend(20)
+
+
+def test_exact_scan_checks_the_order_it_doubled_from():
+    # c_n = 1 except c_65 = 3: equality up to n = 63, first violation at n = 64,
+    # the first order of the scan, which only the second pass can check
+    register_series_rule(
+        "bump-at-65-test", lambda n: RationalSeries([1 + 2 * (m == 65) for m in range(n + 1)])
+    )
+    report = scan_conjecture_custom("bump-at-65-test", 1, 200, "exact")
+    assert report.n0 == 64 and report.violations_checked == 63
+
+
+def test_partial_sum_lhs_matches_series_power():
+    f = f_series(40)
+    for k in range(1, 5):
+        power = series_power(f, k).coeffs
+        for n in range(max(2, k * k), 41):
+            assert partial_sum_ratio(k, n).lhs == sum(power[: n + 1])
+
+
+def test_exact_scan_checks_up_to_n0():
+    for k in range(2, 9):
+        report = scan_conjecture(k, mode="exact")
+        assert report.violations_checked == report.n0 - 1
+
+
+def test_scan_bound_limit():
+    with pytest.raises(ValueError, match=str(SCAN_LIMIT)):
+        scan_conjecture(30)
+    with pytest.raises(ValueError, match=str(SCAN_LIMIT)):
+        scan_conjecture(3, SCAN_LIMIT + 1, "exact")

@@ -204,6 +204,14 @@ def test_invalid_precision_cap(capsys):
     assert "53" in err
 
 
+@pytest.mark.parametrize("mode", ["exact", "adaptive-float"])
+def test_scan_bound_above_limit_exits_2(capsys, mode):
+    code, out, err = run(capsys, "scan", "--k", "30", "--mode", mode)
+    assert code == EXIT_ABORTED
+    assert out == ""
+    assert "scan limit 262144" in err
+
+
 def test_scan_uncertified_exit_status(capsys):
     # exact ties are undecidable by enclosures; with the exact fallback off,
     # the row must be flagged uncertified and the exit status must say so

@@ -23,6 +23,7 @@ from nekrasov.darcais import (
 from nekrasov.partitions import (
     enumerate_partitions,
     hook_lengths,
+    multiplicities,
     partition_count,
     trivial_leg_hooks,
 )
@@ -33,6 +34,7 @@ from nekrasov.series import (
     series_multiply,
     series_power,
 )
+from nekrasov.stirling import q_coeffs
 
 # published values of Q_0..Q_3
 KNOWN = {
@@ -236,6 +238,26 @@ def test_hook_sums_match_fraction_sums():
         )
 
 
+def fraction_multiplicity_sum(n: int) -> tuple[Fraction, ...]:
+    """Sum over the partitions of n of prod_j binom(k_j + z, k_j), in Fractions."""
+    total = [Fraction(0)] * (n + 1)
+    for part in enumerate_partitions(n):
+        for i, c in enumerate(q_coeffs(multiplicities(part).values())):
+            total[i] += c
+    return tuple(total)
+
+
+def test_multiplicity_sums_match_fraction_sums():
+    for n in range(17):
+        assert q_via_multiplicities(n).coeffs == fraction_multiplicity_sum(n)
+
+
+def test_columns_share_the_row_values():
+    column = coefficient_series(3, 12)
+    assert all(column[m] is q_via_recursion(m).coeffs[3] for m in range(3, 13))
+    assert coefficient_series(5, 2).coeffs == (0, 0, 0)
+
+
 def test_table_growth_order_does_not_matter():
     grown = _QTable()
     for n in (30, 10, 90, 50):
@@ -248,7 +270,6 @@ def test_table_growth_order_does_not_matter():
     built.f_power(4, 40)
     assert grown.n_max == built.n_max == 90
     assert grown.rows == built.rows
-    assert grown.cols == built.cols
     assert grown.int_cols == built.int_cols
     assert grown.f_powers == built.f_powers
     f = f_series(39)

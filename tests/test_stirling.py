@@ -15,6 +15,7 @@ from nekrasov.stirling import (
     descent_threshold,
     harmonic,
     mode_bound_check,
+    q_coeff_numerators,
     q_coeffs,
     sibuya_check,
     stirling_ratio_decay_check,
@@ -153,6 +154,12 @@ def test_q_coeffs_examples():
     assert q_coeffs([2]) == [1, Fraction(3, 2), Fraction(1, 2)]
     # zero multiplicities contribute the factor 1
     assert q_coeffs([0, 2, 0]) == q_coeffs([2])
+
+
+def test_q_coeff_numerators_example():
+    # binom(2+z, 2) binom(1+z, 1) = (z+1)(z+2)(z+1)/2
+    assert q_coeff_numerators([2, 1]) == ([2, 5, 4, 1], 2)
+    assert q_coeff_numerators([]) == ([1], 1)
 
 
 def test_q_coeffs_sum_over_partitions_of_3():
