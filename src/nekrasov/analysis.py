@@ -9,11 +9,14 @@ violate log-concavity (c_n^2 < c_{n-1} c_{n+1}).  Two modes:
   found or n_max is reached; each doubling only appends and checks the new
   coefficients.  The same rows serve the exact fallback below, the
   coefficients c_{n,k}, the partial sums and the truncated surrogates.
-* adaptive-float: ball-arithmetic enclosures at 53 bits, escalated to 64-bit
-  extended precision where a comparison's enclosures overlap, then to exact
-  rationals below the exact-fallback bound.  A comparison is never reported
-  without a disjoint-enclosure or exact certificate; if escalation runs out,
-  the scan is flagged uncertified rather than guessed.
+* adaptive-float: ball-arithmetic enclosures of f^k (binary powering) at 53
+  bits over the whole range.  The n whose enclosures overlap are rechecked
+  at 64-bit extended precision, with the power built only up to the highest
+  of them; the n neither precision decided go to exact rationals below the
+  exact-fallback bound.  Certificates of both precisions are merged: the
+  first certified violation at either is n0.  A comparison is never
+  reported without a disjoint-enclosure or exact certificate; if escalation
+  runs out, the scan is flagged uncertified rather than guessed.
 """
 
 from __future__ import annotations
@@ -231,31 +234,39 @@ class _PowerRow:
 class _BallScanOutcome:
     violation: int | None
     undecided: list[int]  # undecided n, all below `violation` when it is set
-    last_n: int
 
 
 def _ball_scan(ball: BallSeries, k: int, n_stop: int) -> _BallScanOutcome:
-    """Scan c^2 vs c_- c_+ over n in [2, n_stop] with enclosure certificates."""
-    powk = ball.power(k)
-    lo, hi = powk.bounds()
-    scalar = lo.dtype.type
-    shift = max(powk.precision_bits - 3, 1)
-    down = scalar(1.0) - scalar(2.0) ** -shift
-    up = scalar(1.0) + scalar(2.0) ** -shift
-    # index i of the sliced arrays corresponds to n = i + 2
-    c_lo, c_hi = lo[2:n_stop + 1], hi[2:n_stop + 1]
-    lhs_lo = c_lo * c_lo * down
-    lhs_hi = c_hi * c_hi * up
-    rhs_lo = lo[1:n_stop] * lo[3:n_stop + 2] * down
-    rhs_hi = hi[1:n_stop] * hi[3:n_stop + 2] * up
-    holds = lhs_lo >= rhs_hi
-    violates = lhs_hi < rhs_lo
+    """Scan c^2 vs c_- c_+ over n in [2, n_stop] with enclosure certificates.
+
+    An enclosure that overflowed (inf or nan) certifies nothing: its
+    comparisons stay undecided.
+    """
+    with np.errstate(over="ignore", invalid="ignore"):
+        powk = ball.power(k)
+        lo, hi = powk.bounds()
+        scalar = lo.dtype.type
+        shift = max(powk.precision_bits - 3, 1)
+        down = scalar(1.0) - scalar(2.0) ** -shift
+        up = scalar(1.0) + scalar(2.0) ** -shift
+        eta = np.finfo(lo.dtype).smallest_subnormal
+
+        def product(a, b, scale, sign):
+            # a*b rounded outward: relatively by `scale` and absolutely by one
+            # subnormal against underflow; an exactly-zero factor gives exactly 0
+            return np.where((a == 0) | (b == 0), scalar(0.0), a * b * scale + sign * eta)
+
+        # index i of the sliced arrays corresponds to n = i + 2
+        c_lo, c_hi = lo[2:n_stop + 1], hi[2:n_stop + 1]
+        rhs_hi = product(hi[1:n_stop], hi[3:n_stop + 2], up, 1)
+        holds = (product(c_lo, c_lo, down, -1) >= rhs_hi) & np.isfinite(rhs_hi)
+        violates = product(c_hi, c_hi, up, 1) < product(lo[1:n_stop], lo[3:n_stop + 2], down, -1)
     viol_idx = np.nonzero(violates)[0]
     first = int(viol_idx[0]) + 2 if len(viol_idx) else None
     und_idx = np.nonzero(~holds & ~violates)[0] + 2
     if first is not None:
         und_idx = und_idx[und_idx < first]
-    return _BallScanOutcome(first, [int(u) for u in und_idx], n_stop)
+    return _BallScanOutcome(first, [int(u) for u in und_idx])
 
 
 def _scan_core(
@@ -292,35 +303,38 @@ def _scan_core(
                 )
             lo, order = order, min(2 * order, n_max)
 
-    dtypes: list = [np.float64]
-    if precision_cap >= 64 and _ld_available():
-        dtypes.append(np.longdouble)
-    outcome = None
-    for dtype in dtypes:
-        stop = n_max - 1 if outcome is None or outcome.violation is None else outcome.violation
-        outcome = _ball_scan(ball_base(n_max, dtype), k, stop)
-        if not outcome.undecided:
-            break
-    viol = outcome.violation
-    undecided = outcome.undecided
+    outcome = _ball_scan(ball_base(n_max, np.float64), k, n_max - 1)
+    viol, undecided = outcome.violation, outcome.undecided
+    last_n = n_max - 1  # an uncertified row counts the n up to here
+    if undecided and precision_cap >= 64 and _ld_available():
+        # recheck only what float64 left open, at the order that reaches it;
+        # the float64 certificates stand
+        if viol is not None:
+            last_n = viol
+        top = max(undecided)
+        ld = _ball_scan(ball_base(top + 1, np.longdouble), k, top)
+        if ld.violation is not None:  # below top, so below float64's violation
+            viol = ld.violation
+        still_open = set(ld.undecided)
+        undecided = [u for u in undecided if u in still_open]
     if undecided:
         resolvable = [u for u in undecided if u <= exact_fallback]
         exact_row = _PowerRow(k, rule)
         if resolvable:
             exact_row.extend(max(resolvable) + 1)
         c = exact_row.nums
-        for u in sorted(undecided):
+        for u in undecided:
             if u > exact_fallback:
                 # cannot certify triple u; the first-violation claim is void
                 return ScanReport(
                     k, n_max, None, "adaptive-float", False,
-                    outcome.last_n - 1 - len([x for x in undecided if x >= u]),
+                    last_n - 1 - len([x for x in undecided if x >= u]),
                     time.perf_counter() - start, rule,
                 )
             if c[u] * c[u] < c[u - 1] * c[u + 1]:
                 viol = u
                 break
-    checked = (viol - 1) if viol is not None else outcome.last_n - 1
+    checked = (viol - 1) if viol is not None else last_n - 1
     return ScanReport(
         k, n_max, viol, "adaptive-float", True, checked,
         time.perf_counter() - start, rule,

@@ -317,7 +317,13 @@ class BallSeries:
         rad = mid * scalar(2 * unit)
         return cls(mid, rad, unit)
 
+    def _lead(self) -> int:
+        """Index of the first coefficient whose enclosure is not exactly {0}."""
+        nonzero = np.flatnonzero((self.mid != 0) | (self.rad != 0))
+        return int(nonzero[0]) if len(nonzero) else len(self.mid)
+
     def multiply(self, other: "BallSeries") -> "BallSeries":
+        """Enclosure of the product; `x.multiply(x)` squares with 3 convolutions."""
         if self.order != other.order:
             raise ValueError("truncation orders differ")
         if self.unit != other.unit:
@@ -329,21 +335,30 @@ class BallSeries:
         # the radius expression itself.
         lu = (2 * n + 16) * self.unit
         g = scalar(2.0 * lu / (1.0 - lu))
+        # Underflow adds an absolute error of at most eta/2 per rounded
+        # product (eta the smallest subnormal): n products in each of the four
+        # convolutions, plus g*mid and the final scaling.
+        tiny = scalar(2 * n + 2) * np.finfo(self.mid.dtype).smallest_subnormal
         mid = np.convolve(self.mid, other.mid)[:n]
-        rad = (
-            np.convolve(self.mid, other.rad)[:n]
-            + np.convolve(self.rad, other.mid)[:n]
-            + np.convolve(self.rad, other.rad)[:n]
-            + g * mid
-        ) * (scalar(1.0) + 4 * g)
+        if other is self:
+            # the cross terms are equal; doubling is exact
+            cross = scalar(2.0) * np.convolve(self.mid, self.rad)[:n]
+        else:
+            cross = np.convolve(self.mid, other.rad)[:n] + np.convolve(self.rad, other.mid)[:n]
+        rad = (cross + np.convolve(self.rad, other.rad)[:n] + g * mid + tiny) * (scalar(1.0) + 4 * g)
+        # below the sum of the leading indices every product term is an exact 0
+        rad[: self._lead() + other._lead()] = 0
         return BallSeries(mid, rad, self.unit)
 
     def power(self, k: int) -> "BallSeries":
+        """Enclosure of self^k by binary powering: about log2(k) multiplies."""
         if k < 1:
             raise ValueError("k must be >= 1")
         acc = self
-        for _ in range(k - 1):
-            acc = acc.multiply(self)
+        for bit in bin(k)[3:]:
+            acc = acc.multiply(acc)
+            if bit == "1":
+                acc = acc.multiply(self)
         return acc
 
     def bounds(self) -> tuple[np.ndarray, np.ndarray]:

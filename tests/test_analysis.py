@@ -3,8 +3,12 @@
 import math
 from fractions import Fraction
 
+import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from nekrasov import analysis
 from nekrasov.analysis import (
     SCAN_LIMIT,
     _PowerRow,
@@ -26,7 +30,9 @@ from nekrasov.analysis import (
 from nekrasov.darcais import q_via_recursion
 from nekrasov.partitions import partition_count
 from nekrasov.series import (
+    BallSeries,
     RationalSeries,
+    _ld_available,
     custom_series,
     f_series,
     register_series_rule,
@@ -184,15 +190,6 @@ def test_scan_exact_fallback_decides_ties():
     assert not starved.certified and starved.n0 is None
     exact = scan_conjecture_custom("geometric-test", 1, 20, "exact")
     assert exact.certified and exact.n0 is None
-
-
-def test_ratio_report_csv_shape():
-    report = partial_sum_ratio(2, 16)
-    fields = report.csv_row().split(",")
-    assert fields[0] == "2" and fields[1] == "16"
-    assert float(fields[2]) == report.ratio_lo
-    assert float(fields[3]) == report.ratio_hi
-    assert float(fields[4]) == report.envelope
 
 
 def test_ratio_report_csv_shape():
@@ -412,3 +409,142 @@ def test_scan_bound_limit():
         scan_conjecture(30)
     with pytest.raises(ValueError, match=str(SCAN_LIMIT)):
         scan_conjecture(3, SCAN_LIMIT + 1, "exact")
+
+
+# ---------------------------------------------------------------------------
+# Certified float scan: escalation, merged certificates, extreme magnitudes
+# ---------------------------------------------------------------------------
+
+needs_ld = pytest.mark.skipif(not _ld_available(), reason="extended precision unavailable")
+
+# sigma_{-1}(n) 10^-300: log-concave exactly where sigma_{-1} is, and every
+# square underflows in float64
+register_series_rule(
+    "tiny-sigma-test",
+    lambda n: RationalSeries([0] + [sigma_minus1(i) / 10**300 for i in range(1, n + 1)]),
+)
+# first violation at n = 2, where every product overflows in float64
+register_series_rule(
+    "huge-test", lambda n: RationalSeries(([0, 10**200, 10**200] + [2 * 10**200] * n)[: n + 1])
+)
+
+
+@pytest.mark.parametrize("rule,k,n_max,n0", [
+    ("tiny-sigma-test", 2, 256, 6),
+    ("tiny-sigma-test", 3, 256, 21),
+    ("huge-test", 1, 20, 2),
+])
+def test_scan_extreme_magnitudes_certify_the_exact_n0(rule, k, n_max, n0):
+    exact = scan_conjecture_custom(rule, k, n_max, "exact")
+    floated = scan_conjecture_custom(rule, k, n_max, "adaptive-float")
+    assert exact.n0 == floated.n0 == n0
+    assert floated.certified and floated.violations_checked == n0 - 1
+    # float64 alone decides none of the comparisons at the first violation
+    starved = scan_conjecture_custom(
+        rule, k, n_max, "adaptive-float", precision_cap=53, exact_fallback=0
+    )
+    assert not starved.certified and starved.n0 is None
+
+
+def test_float64_alone_certifies_k_up_to_11():
+    # exact zeros below the leading index stay exact, so the leading
+    # comparisons (0 >= 0) need no escalation either
+    readme = {2: 6, 3: 21, 4: 39, 5: 73, 6: 135, 7: 251, 8: 475, 9: 917, 10: 1801, 11: 3595}
+    for k, n0 in readme.items():
+        report = scan_conjecture(k, mode="adaptive-float", precision_cap=53, exact_fallback=0)
+        assert report.certified and report.n0 == n0
+
+
+@needs_ld
+def test_scan_k12_rechecks_only_what_float64_left_open(monkeypatch):
+    calls = []
+    multiply = BallSeries.multiply
+    monkeypatch.setattr(
+        BallSeries, "multiply", lambda a, b: calls.append((a.mid.dtype, a.order)) or multiply(a, b)
+    )
+    report = scan_conjecture(12, mode="adaptive-float")
+    # the README row: k = 12, n0 = 7259, certified, n_max = 8192
+    assert report.csv_row().split(",")[:3] == ["12", "7259", "adaptive-float"]
+    assert (report.n_max, report.certified, report.violations_checked) == (8192, True, 7258)
+    ld_orders = [order for dtype, order in calls if dtype == np.longdouble]
+    assert 1 <= len(ld_orders) <= 4 and max(ld_orders) <= 7260
+
+
+def _stub_ball_scan(monkeypatch, f64, ld):
+    """Make _ball_scan return the given (violation, undecided) per precision.
+
+    Returns the list of (order, n_stop) the longdouble pass was called with.
+    """
+    ld_calls = []
+
+    def stub(ball, k, n_stop):
+        if ball.mid.dtype == np.float64:
+            return analysis._BallScanOutcome(*f64)
+        ld_calls.append((ball.order, n_stop))
+        return analysis._BallScanOutcome(*ld)
+
+    monkeypatch.setattr(analysis, "_ball_scan", stub)
+    return ld_calls
+
+
+@needs_ld
+def test_scan_keeps_float64_certificates_the_longdouble_pass_leaves_open(monkeypatch):
+    # float64 decides n = 5 and leaves 10 open; longdouble decides 10 but not 5
+    ld_calls = _stub_ball_scan(monkeypatch, (21, [10]), (None, [5]))
+    report = scan_conjecture(3, 300, "adaptive-float", exact_fallback=0)
+    assert ld_calls == [(11, 10)]
+    assert report.certified and report.n0 == 21 and report.violations_checked == 20
+
+
+@needs_ld
+def test_scan_takes_the_first_violation_of_either_precision(monkeypatch):
+    ld_calls = _stub_ball_scan(monkeypatch, (40, [21, 30]), (21, []))
+    report = scan_conjecture(3, 300, "adaptive-float", exact_fallback=0)
+    assert ld_calls == [(31, 30)]
+    assert report.certified and report.n0 == 21 and report.violations_checked == 20
+
+
+@needs_ld
+def test_scan_sends_only_doubly_open_n_to_the_exact_fallback(monkeypatch):
+    _stub_ball_scan(monkeypatch, (21, [10, 12]), (None, [12]))
+    # n = 12 holds exactly, so a fallback reaching it certifies
+    report = scan_conjecture(3, 300, "adaptive-float", exact_fallback=12)
+    assert report.certified and report.n0 == 21
+    # one below it, the row is uncertified; it counts the n up to float64's
+    # violation, less the one left open
+    starved = scan_conjecture(3, 300, "adaptive-float", exact_fallback=11)
+    assert not starved.certified and starved.n0 is None
+    assert starved.violations_checked == 19
+
+
+@st.composite
+def extreme_rules(draw):
+    """Non-negative coefficients m 10^e, 1e-300 <= m 10^e < 1e302, some leading zeros."""
+    n_max = draw(st.integers(3, 12))
+    lead = draw(st.integers(0, 3))
+    scale = draw(st.integers(-300, 300))
+    spread = draw(st.sampled_from([0, 3, 600]))
+    terms = draw(st.lists(
+        st.tuples(st.integers(0, 30), st.integers(-spread, spread)),
+        min_size=n_max + 1, max_size=n_max + 1,
+    ))
+    return [0] * lead + [
+        m * Fraction(10) ** max(-300, min(300, scale + d)) for m, d in terms[lead:]
+    ]
+
+
+@settings(max_examples=150, deadline=None, derandomize=True, database=None)
+@given(coeffs=extreme_rules(), k=st.integers(1, 4), fallback=st.sampled_from([0, 400]))
+def test_adaptive_float_never_contradicts_exact(coeffs, k, fallback):
+    n_max = len(coeffs) - 1
+    register_series_rule(
+        "hypothesis-test", lambda n: RationalSeries((coeffs + [0] * n)[: n + 1])
+    )
+    exact = scan_conjecture_custom("hypothesis-test", k, n_max, "exact")
+    floated = scan_conjecture_custom(
+        "hypothesis-test", k, n_max, "adaptive-float", exact_fallback=fallback
+    )
+    if floated.certified:
+        assert (floated.n0, floated.violations_checked) == (exact.n0, exact.violations_checked)
+    else:
+        assert floated.n0 is None

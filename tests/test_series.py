@@ -253,3 +253,78 @@ def test_ball_series_longdouble_tighter():
     b64 = BallSeries.divisor_sum_series(100).power(4)
     b80 = BallSeries.divisor_sum_series(100, np.longdouble).power(4)
     assert float(b80.rad[100]) < float(b64.rad[100])
+
+
+# ---------------------------------------------------------------------------
+# Binary powering, squares and underflow, against the exact Fraction powers
+# ---------------------------------------------------------------------------
+
+DTYPES = [np.float64] + ([np.longdouble] if np.finfo(np.longdouble).nmant > 52 else [])
+POWER_ORDER = 200
+
+
+def _as_fraction(x):
+    return Fraction(*x.as_integer_ratio())
+
+
+def _tiny_series(n):
+    """sigma_{-1}(n) 10^-300: its squares underflow in float64."""
+    return RationalSeries([0] + [sigma_minus1(i) / 10**300 for i in range(1, n + 1)])
+
+
+@pytest.fixture(scope="module")
+def sigma_powers():
+    """[f^1, ..., f^13] to POWER_ORDER, by k - 1 Fraction products."""
+    f = f_series(POWER_ORDER)
+    powers = [f]
+    for _ in range(12):
+        powers.append(series_multiply(powers[-1], f))
+    return powers
+
+
+@pytest.mark.parametrize("scale", [1, Fraction(1, 10**300)], ids=["1", "1e-300"])
+@pytest.mark.parametrize("dtype", DTYPES)
+def test_ball_power_encloses_exact_series_power(sigma_powers, dtype, scale):
+    # scale 10^-300 makes every square underflow in float64
+    ball = BallSeries.from_fractions([c * scale for c in sigma_powers[0]], dtype)
+    for k, exact in enumerate(sigma_powers, start=1):
+        lo, hi = ball.power(k).bounds()
+        for n, c in enumerate(exact):
+            assert _as_fraction(lo[n]) <= c * scale**k <= _as_fraction(hi[n]), (k, n)
+            if n < k:  # below the leading index the enclosure is the exact 0
+                assert lo[n] == hi[n] == 0
+
+
+def test_ball_power_counts_binary_powering(monkeypatch):
+    calls = []
+    multiply = BallSeries.multiply
+    monkeypatch.setattr(BallSeries, "multiply", lambda a, b: calls.append(b is a) or multiply(a, b))
+    ball = BallSeries.divisor_sum_series(20)
+    for k in range(1, 14):
+        calls.clear()
+        ball.power(k)
+        squares = k.bit_length() - 1
+        assert calls.count(True) == squares
+        assert calls.count(False) == bin(k).count("1") - 1
+
+
+@pytest.mark.parametrize("dtype", DTYPES)
+def test_ball_square_matches_general_product(dtype):
+    # the square sums the cross term once and doubles it, so its radius
+    # differs from the four-convolution product only by summation order
+    unit = float(np.finfo(dtype).eps) / 2
+    for k in (1, 2, 3, 6):
+        x = BallSeries.divisor_sum_series(300, dtype).power(k)
+        square = x.multiply(x)
+        general = x.multiply(BallSeries(x.mid.copy(), x.rad.copy(), x.unit))
+        assert np.array_equal(square.mid, general.mid)
+        assert np.all(np.abs(square.rad - general.rad) <= 4 * unit * general.rad)
+
+
+def test_ball_multiply_radius_covers_underflow():
+    # (10^-300 q)^2 underflows to 0 in float64; the enclosure must still hold it
+    ball = BallSeries.from_fractions(_tiny_series(4).coeffs)
+    square = ball.multiply(ball)
+    lo, hi = square.bounds()
+    assert square.mid[2] == 0 and hi[2] > 0 and lo[2] == 0
+    assert lo[1] == hi[1] == 0
