@@ -4,11 +4,12 @@ The scanners look for the first n where the coefficients c_{n,k} of f(q)^k
 violate log-concavity (c_n^2 < c_{n-1} c_{n+1}).  Two modes:
 
 * exact: one power row of integers over a common denominator, extended in
-  place by Miller's recurrence, so every comparison is an integer
-  cross-multiplication.  The truncation order doubles until a violation is
-  found or n_max is reached; each doubling only appends and checks the new
-  coefficients.  The same rows serve the exact fallback below, the
-  coefficients c_{n,k}, the partial sums and the truncated surrogates.
+  place by Miller's recurrence (a symmetric square for k = 2), so every
+  comparison is an integer cross-multiplication.  The truncation order
+  doubles until a violation is found or n_max is reached; each doubling only
+  appends and checks the new coefficients.  The same rows serve the exact
+  fallback below, the coefficients c_{n,k}, the partial sums and the
+  truncated surrogates.
 * adaptive-float: ball-arithmetic enclosures of f^k (binary powering) at 53
   bits over the whole range.  The n whose enclosures overlap are rechecked
   at 64-bit extended precision, with the power built only up to the highest
@@ -182,11 +183,13 @@ class _PowerRow:
     """Coefficients of f^k for a registered rule f, as integers over denom^k.
 
     base[n] = f_n denom and nums[n] = [q^n] f^k denom^k, where denom is the lcm
-    of f's denominators up to the current order.  With base = q^m0 h(q), h_0 != 0,
-    g_i = nums[k m0 + i] follows from J.C.P. Miller's recurrence (Knuth, TAOCP
-    vol. 2, 4.7) i h_0 g_i = sum_{j=1..i} ((k+1) j - i) h_j g_{i-j}, whose
-    divisions are exact.  `extend` appends coefficients and rescales the stored
-    ones by (denom'/denom)^k when denom grows; nothing is recomputed.
+    of f's denominators up to the current order.  For k = 2, nums[n] is the
+    symmetric square 2 sum_{i < n-i} base_i base_{n-i} + base_{n/2}^2.  For
+    k >= 3, with base = q^m0 h(q), h_0 != 0, g_i = nums[k m0 + i] follows from
+    J.C.P. Miller's recurrence (Knuth, TAOCP vol. 2, 4.7)
+    i h_0 g_i = sum_{j=1..i} ((k+1) j - i) h_j g_{i-j}, whose divisions are
+    exact.  `extend` appends coefficients and rescales the stored ones by
+    (denom'/denom)^k when denom grows; nothing is recomputed.
     """
 
     def __init__(self, k: int, rule: str):
@@ -211,6 +214,11 @@ class _PowerRow:
         self.base, self.denom = base, denom
         if k <= 1:  # f^0 = 1 and f^1 = f need no recurrence
             nums.extend(base[old:] if k else (int(n == 0) for n in range(old, order + 1)))
+            return
+        if k == 2:  # a symmetric square, each pair i < n - i once, costs half of Miller's
+            for n in range(old, order + 1):
+                half = sum(map(mul, base[: (n + 1) // 2], reversed(base[n // 2 + 1 : n + 1])))
+                nums.append(2 * half + (base[n // 2] ** 2 if n % 2 == 0 else 0))
             return
         m0 = next((i for i, c in enumerate(base) if c), order + 1)
         off = k * m0

@@ -248,6 +248,35 @@ def _ld_available() -> bool:
 _F64_TINY = Fraction(float(np.finfo(np.float64).tiny))
 _F64_MAX = Fraction(float(np.finfo(np.float64).max))
 
+# block length of _convolve_prefix; on a 2-vCPU x86 host the time of one
+# convolution at orders 7000-8000 is flat from 128 to 1024 in both dtypes
+_BLOCK = 512
+
+
+def _convolve_prefix(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """The first n = len(a) coefficients of a*b, for b of the same length.
+
+    Block a[s:s+B] is convolved only with b[:n-s], the part of b that reaches
+    an index below n.  When `b is a`, each block is convolved with itself and,
+    doubled, with the part of a after it, so a pair of indices in different
+    blocks is formed once.  Either way every output is a float sum of the same
+    products as in np.convolve(a, b)[:n], grouped differently; doubling is exact.
+    """
+    n = len(a)
+    out = np.zeros(n, dtype=np.result_type(a, b))
+    if b is a:
+        for s in range(0, (n + 1) // 2, _BLOCK):  # a block at s >= n/2 reaches no index below n
+            block = a[s : s + _BLOCK]
+            diag = np.convolve(block, block)[: n - 2 * s]
+            out[2 * s : 2 * s + len(diag)] += diag
+            t = s + len(block)
+            if t < n - s:
+                out[s + t :] += 2 * np.convolve(block, a[t : n - s])[: n - s - t]
+    else:
+        for s in range(0, n, _BLOCK):
+            out[s:] += np.convolve(a[s : s + _BLOCK], b[: n - s])[: n - s]
+    return out
+
 
 class BallSeries:
     """Float enclosure of a series with non-negative coefficients.
@@ -323,7 +352,13 @@ class BallSeries:
         return int(nonzero[0]) if len(nonzero) else len(self.mid)
 
     def multiply(self, other: "BallSeries") -> "BallSeries":
-        """Enclosure of the product; `x.multiply(x)` squares with 3 convolutions."""
+        """Enclosure of the product, computing only the kept coefficients.
+
+        The radius is bounded through mid*mid, the two cross terms mid*rad and
+        rad*mid, and rad*rad.  A square (`x.multiply(x)`) computes the equal
+        cross terms once and doubles them, and forms each pair (i, j) of its
+        mid*mid and rad*rad once (see `_convolve_prefix`).
+        """
         if self.order != other.order:
             raise ValueError("truncation orders differ")
         if self.unit != other.unit:
@@ -332,20 +367,23 @@ class BallSeries:
         scalar = self.mid.dtype.type
         # gamma bounds the relative error of any float summation of <= 2n+16
         # rounded terms; doubled for headroom and to absorb the rounding of
-        # the radius expression itself.
+        # the radius expression itself.  Blocking and exact doubling only
+        # regroup the same rounded products, so gamma still covers them.
         lu = (2 * n + 16) * self.unit
         g = scalar(2.0 * lu / (1.0 - lu))
         # Underflow adds an absolute error of at most eta/2 per rounded
-        # product (eta the smallest subnormal): n products in each of the four
-        # convolutions, plus g*mid and the final scaling.
+        # product (eta the smallest subnormal).  Each of the four sums
+        # (mid*mid, two cross terms, rad*rad) has at most n products per
+        # coefficient; a doubled product carries at most eta and stands for
+        # two of them (at most ceil(n/2) per coefficient), so n*eta/2 per sum
+        # holds.  Adding g*mid and the final scaling gives (2n+2)*eta.
         tiny = scalar(2 * n + 2) * np.finfo(self.mid.dtype).smallest_subnormal
-        mid = np.convolve(self.mid, other.mid)[:n]
+        mid = _convolve_prefix(self.mid, other.mid)
         if other is self:
-            # the cross terms are equal; doubling is exact
-            cross = scalar(2.0) * np.convolve(self.mid, self.rad)[:n]
+            cross = scalar(2.0) * _convolve_prefix(self.mid, self.rad)
         else:
-            cross = np.convolve(self.mid, other.rad)[:n] + np.convolve(self.rad, other.mid)[:n]
-        rad = (cross + np.convolve(self.rad, other.rad)[:n] + g * mid + tiny) * (scalar(1.0) + 4 * g)
+            cross = _convolve_prefix(self.mid, other.rad) + _convolve_prefix(self.rad, other.mid)
+        rad = (cross + _convolve_prefix(self.rad, other.rad) + g * mid + tiny) * (scalar(1.0) + 4 * g)
         # below the sum of the leading indices every product term is an exact 0
         rad[: self._lead() + other._lead()] = 0
         return BallSeries(mid, rad, self.unit)

@@ -360,7 +360,7 @@ def test_power_row_late_start_through_first_order():
 
 
 def test_power_row_extended_in_steps_equals_built_at_once():
-    for rule in ("sigma-minus-one", "remark-series", "mixed-signs-test"):
+    for rule in ("sigma-minus-one", "remark-series", "late-start-test", "mixed-signs-test"):
         for k in (2, 5):
             grown = _PowerRow(k, rule)
             for order in (64, 100, 200):
@@ -368,6 +368,19 @@ def test_power_row_extended_in_steps_equals_built_at_once():
             built = _PowerRow(k, rule)
             built.extend(200)
             assert (grown.nums, grown.denom, grown.base) == (built.nums, built.denom, built.base)
+
+
+@pytest.mark.parametrize(
+    "rule", ["sigma-minus-one", "remark-series", "late-start-test", "mixed-signs-test"]
+)
+def test_power_row_square_grown_equals_the_full_product(rule):
+    # k = 2 sums each pair i < n - i once and doubles it; the oracle forms
+    # every pair, so it shares no code with the kernel
+    row = _PowerRow(2, rule)
+    for order in (64, 100, 200):
+        row.extend(order)
+    base = row.base
+    assert row.nums == [sum(base[i] * base[n - i] for i in range(n + 1)) for n in range(201)]
 
 
 def test_power_row_refuses_a_rule_that_rewrites_its_prefix():

@@ -8,10 +8,13 @@ from itertools import product
 import numpy as np
 import pytest
 
+from nekrasov.analysis import _PowerRow
 from nekrasov.partitions import partition_count
 from nekrasov.series import (
+    _BLOCK,
     BallSeries,
     RationalSeries,
+    _convolve_prefix,
     custom_series,
     divisor_sigma,
     f_series,
@@ -319,6 +322,61 @@ def test_ball_square_matches_general_product(dtype):
         general = x.multiply(BallSeries(x.mid.copy(), x.rad.copy(), x.unit))
         assert np.array_equal(square.mid, general.mid)
         assert np.all(np.abs(square.rad - general.rad) <= 4 * unit * general.rad)
+
+
+# ---------------------------------------------------------------------------
+# The prefix convolution kernel, and enclosures that span several of its blocks
+# ---------------------------------------------------------------------------
+
+PREFIX_LENGTHS = [1, 2, _BLOCK - 1, _BLOCK, _BLOCK + 1, 2 * _BLOCK + 1, 3 * _BLOCK + 7]
+
+
+@pytest.mark.parametrize("n", PREFIX_LENGTHS)
+@pytest.mark.parametrize("dtype", DTYPES)
+def test_convolve_prefix_matches_numpy_bit_for_bit(dtype, n):
+    # small integers: every product and partial sum is exact, so any grouping
+    # of the same products must give numpy's values exactly
+    rng = np.random.default_rng(n)
+    a = rng.integers(0, 64, n).astype(dtype)
+    b = rng.integers(0, 64, n).astype(dtype)
+    for x, y in ((a, b), (b, a), (a, a), (a, a.copy())):
+        got = _convolve_prefix(x, y)
+        assert got.dtype == dtype
+        assert np.array_equal(got, np.convolve(x, y)[:n])
+
+
+def _sigma_thirds(n: int) -> RationalSeries:
+    # sigma(m)/3: inexact in binary floating point, small integers over 3^k exactly
+    return RationalSeries([0] + [Fraction(s, 3) for s in sigma_sieve(n)[1:]])
+
+
+register_series_rule("sigma-thirds-test", _sigma_thirds)
+BLOCKS_ORDER = 3 * _BLOCK + 7  # spans four blocks; order + 1 is no multiple of _BLOCK
+
+
+@pytest.fixture(scope="module")
+def sigma_thirds_rows():
+    """Exact rows of (sigma/3)^k, k = 1..4, to BLOCKS_ORDER."""
+    rows = []
+    for k in range(1, 5):
+        row = _PowerRow(k, "sigma-thirds-test")
+        row.extend(BLOCKS_ORDER)
+        rows.append(row)
+    return rows
+
+
+@pytest.mark.parametrize("dtype", DTYPES)
+def test_ball_power_encloses_exact_rows_across_blocks(sigma_thirds_rows, dtype):
+    ball = BallSeries.from_fractions(custom_series("sigma-thirds-test", BLOCKS_ORDER).coeffs, dtype)
+    for row in sigma_thirds_rows:
+        lo, hi = ball.power(row.k).bounds()
+        scale = row.denom**row.k
+        for n, num in enumerate(row.nums):
+            assert _as_fraction(lo[n]) * scale <= num <= _as_fraction(hi[n]) * scale, (row.k, n)
+            if num:
+                assert (hi[n] - lo[n]) * scale < 1e-9 * num, (row.k, n)
+            else:
+                assert lo[n] == hi[n] == 0, (row.k, n)
 
 
 def test_ball_multiply_radius_covers_underflow():
