@@ -11,13 +11,16 @@ violate log-concavity (c_n^2 < c_{n-1} c_{n+1}).  Two modes:
   fallback below, the coefficients c_{n,k}, the partial sums and the
   truncated surrogates.
 * adaptive-float: ball-arithmetic enclosures of f^k (binary powering) at 53
-  bits over the whole range.  The n whose enclosures overlap are rechecked
-  at 64-bit extended precision, with the power built only up to the highest
-  of them; the n neither precision decided go to exact rationals below the
-  exact-fallback bound.  Certificates of both precisions are merged: the
-  first certified violation at either is n0.  A comparison is never
-  reported without a disjoint-enclosure or exact certificate; if escalation
-  runs out, the scan is flagged uncertified rather than guessed.
+  bits over the whole range.  Their radii count the roundings of the blocked
+  convolution kernel, not of one long sum, so float64 alone decides the
+  sigma_{-1} table up to k = 12.  The n whose enclosures overlap are
+  rechecked at 64-bit extended precision, with the power built only up to
+  the highest of them; the n neither precision decided go to exact
+  rationals below the exact-fallback bound.  Certificates of both
+  precisions are merged: the first certified violation at either is n0.  A
+  comparison is never reported without a disjoint-enclosure or exact
+  certificate; if escalation runs out, the scan is flagged uncertified
+  rather than guessed.
 """
 
 from __future__ import annotations

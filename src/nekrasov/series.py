@@ -278,6 +278,20 @@ def _convolve_prefix(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     return out
 
 
+def _sum_terms(n: int) -> int:
+    """The most rounded terms any output of `_convolve_prefix` adds up, plus 16.
+
+    Each output takes one np.convolve dot of at most min(n, B) products from
+    every block that reaches it, and at most 2 ceil(n/B) of these dots are
+    added to it (a square's diagonal and off-diagonal blocks).  So every
+    product passes through at most min(n, B) + 2 ceil(n/B) roundings, whatever
+    order each dot sums in (Higham, Accuracy and Stability of Numerical
+    Algorithms, ch. 3-4).  The 16 covers the sums that `BallSeries.multiply`
+    adds on top; the count never exceeds that of one plain sum of 2n + 16 terms.
+    """
+    return min(min(n, _BLOCK) + 2 * -(-n // _BLOCK), 2 * n) + 16
+
+
 class BallSeries:
     """Float enclosure of a series with non-negative coefficients.
 
@@ -285,7 +299,9 @@ class BallSeries:
     unit roundoff of the dtype (2^-53 for float64).  Multiplication keeps the
     enclosure rigorous: products of interval bounds are expanded through the
     convolution of absolute values, and a summation-error term gamma covers
-    the floating-point accumulation regardless of numpy's summation order.
+    the floating-point accumulation.  Gamma follows the block structure of
+    `_convolve_prefix` (`_sum_terms`), and holds for any summation order
+    numpy uses inside one block's dot product.
     """
 
     __slots__ = ("mid", "rad", "unit")
@@ -357,7 +373,9 @@ class BallSeries:
         The radius is bounded through mid*mid, the two cross terms mid*rad and
         rad*mid, and rad*rad.  A square (`x.multiply(x)`) computes the equal
         cross terms once and doubles them, and forms each pair (i, j) of its
-        mid*mid and rad*rad once (see `_convolve_prefix`).
+        mid*mid and rad*rad once (see `_convolve_prefix`).  Both cross terms
+        are convolved mid first, so a product with an equal copy sums them
+        exactly as the square does.
         """
         if self.order != other.order:
             raise ValueError("truncation orders differ")
@@ -365,11 +383,12 @@ class BallSeries:
             raise ValueError("mixed precisions")
         n = self.order + 1
         scalar = self.mid.dtype.type
-        # gamma bounds the relative error of any float summation of <= 2n+16
-        # rounded terms; doubled for headroom and to absorb the rounding of
-        # the radius expression itself.  Blocking and exact doubling only
-        # regroup the same rounded products, so gamma still covers them.
-        lu = (2 * n + 16) * self.unit
+        # gamma bounds the relative error of a sum in which every product
+        # passes through at most _sum_terms(n) roundings (one dot per block
+        # plus the block additions of _convolve_prefix; doubling is exact);
+        # doubled for headroom and to absorb the rounding of the radius
+        # expression itself.
+        lu = _sum_terms(n) * self.unit
         g = scalar(2.0 * lu / (1.0 - lu))
         # Underflow adds an absolute error of at most eta/2 per rounded
         # product (eta the smallest subnormal).  Each of the four sums
@@ -382,7 +401,7 @@ class BallSeries:
         if other is self:
             cross = scalar(2.0) * _convolve_prefix(self.mid, self.rad)
         else:
-            cross = _convolve_prefix(self.mid, other.rad) + _convolve_prefix(self.rad, other.mid)
+            cross = _convolve_prefix(self.mid, other.rad) + _convolve_prefix(other.mid, self.rad)
         rad = (cross + _convolve_prefix(self.rad, other.rad) + g * mid + tiny) * (scalar(1.0) + 4 * g)
         # below the sum of the leading indices every product term is an exact 0
         rad[: self._lead() + other._lead()] = 0

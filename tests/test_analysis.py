@@ -160,17 +160,6 @@ def test_scan_report_csv_shape():
     assert fields[4] == "64"
 
 
-def test_scan_uncertified_when_escalation_disabled():
-    # k = 12 has enclosure overlaps at 53 bits near its violation; with the
-    # extended-precision rung capped away and no exact fallback, the scan
-    # must refuse to name n0 rather than guess
-    report = scan_conjecture(
-        12, mode="adaptive-float", precision_cap=53, exact_fallback=0
-    )
-    assert not report.certified
-    assert report.n0 is None
-
-
 def test_scan_exact_fallback_decides_ties():
     # a geometric series is log-concave with equality everywhere, which no
     # finite-precision enclosure can certify; only the exact rung can
@@ -442,6 +431,18 @@ register_series_rule(
 )
 
 
+# f = 1 + 2^-48 sum g_n q^n with g_n = 1, 8, 48, 240, 960, 3840, 11520, 23040,
+# 115200 (ratios 8, 6, 5, 4, 4, 3, 2, 5): log-concave but for the tie at n = 5
+# and the clear violation at n = 8.  In f^3 the tie is broken by the 2^-48
+# terms into a violation by about 2^-50 relative: below what float64 can
+# resolve, well above what longdouble can.
+_NEAR_TIE = [1, 8, 48, 240, 960, 3840, 11520, 23040, 115200]
+register_series_rule(
+    "near-tie-test",
+    lambda n: RationalSeries(([1] + [Fraction(g, 2**48) for g in _NEAR_TIE] + [0] * n)[: n + 1]),
+)
+
+
 @pytest.mark.parametrize("rule,k,n_max,n0", [
     ("tiny-sigma-test", 2, 256, 6),
     ("tiny-sigma-test", 3, 256, 21),
@@ -459,28 +460,44 @@ def test_scan_extreme_magnitudes_certify_the_exact_n0(rule, k, n_max, n0):
     assert not starved.certified and starved.n0 is None
 
 
-def test_float64_alone_certifies_k_up_to_11():
+def test_float64_alone_certifies_k_up_to_12():
     # exact zeros below the leading index stay exact, so the leading
     # comparisons (0 >= 0) need no escalation either
-    readme = {2: 6, 3: 21, 4: 39, 5: 73, 6: 135, 7: 251, 8: 475, 9: 917, 10: 1801, 11: 3595}
+    readme = {
+        2: 6, 3: 21, 4: 39, 5: 73, 6: 135, 7: 251, 8: 475, 9: 917, 10: 1801, 11: 3595, 12: 7259,
+    }
     for k, n0 in readme.items():
         report = scan_conjecture(k, mode="adaptive-float", precision_cap=53, exact_fallback=0)
         assert report.certified and report.n0 == n0
+        assert report.violations_checked == n0 - 1
+
+
+def test_scan_uncertified_when_escalation_disabled():
+    # the near-tie rule has an enclosure overlap at 53 bits at its violation;
+    # with the extended-precision rung capped away and no exact fallback, the
+    # scan must refuse to name n0 rather than guess
+    report = scan_conjecture_custom(
+        "near-tie-test", 3, 10, "adaptive-float", precision_cap=53, exact_fallback=0
+    )
+    assert not report.certified
+    assert report.n0 is None
 
 
 @needs_ld
-def test_scan_k12_rechecks_only_what_float64_left_open(monkeypatch):
+def test_scan_longdouble_rechecks_only_what_float64_left_open(monkeypatch):
     calls = []
     multiply = BallSeries.multiply
     monkeypatch.setattr(
         BallSeries, "multiply", lambda a, b: calls.append((a.mid.dtype, a.order)) or multiply(a, b)
     )
-    report = scan_conjecture(12, mode="adaptive-float")
-    # the README row: k = 12, n0 = 7259, certified, n_max = 8192
-    assert report.csv_row().split(",")[:3] == ["12", "7259", "adaptive-float"]
-    assert (report.n_max, report.certified, report.violations_checked) == (8192, True, 7258)
+    # float64 certifies the violation at n = 8 and leaves n = 5 open; with no
+    # exact fallback only the longdouble pass can certify n0 = 5
+    report = scan_conjecture_custom("near-tie-test", 3, 10, "adaptive-float", exact_fallback=0)
+    assert report.csv_row().split(",")[:3] == ["3", "5", "adaptive-float"]
+    assert (report.n_max, report.certified, report.violations_checked) == (10, True, 4)
+    assert scan_conjecture_custom("near-tie-test", 3, 10, "exact").n0 == 5
     ld_orders = [order for dtype, order in calls if dtype == np.longdouble]
-    assert 1 <= len(ld_orders) <= 4 and max(ld_orders) <= 7260
+    assert 1 <= len(ld_orders) <= 4 and max(ld_orders) <= 6
 
 
 def _stub_ball_scan(monkeypatch, f64, ld):

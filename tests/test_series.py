@@ -8,13 +8,14 @@ from itertools import product
 import numpy as np
 import pytest
 
-from nekrasov.analysis import _PowerRow
+from nekrasov.analysis import SCAN_LIMIT, _PowerRow
 from nekrasov.partitions import partition_count
 from nekrasov.series import (
     _BLOCK,
     BallSeries,
     RationalSeries,
     _convolve_prefix,
+    _sum_terms,
     custom_series,
     divisor_sigma,
     f_series,
@@ -345,6 +346,73 @@ def test_convolve_prefix_matches_numpy_bit_for_bit(dtype, n):
         assert np.array_equal(got, np.convolve(x, y)[:n])
 
 
+class _Rounded:
+    """A float value by its history: the most roundings any product in it passed.
+
+    Multiplying two of them rounds once; scaling by a plain number (the exact
+    doubling of a square's off-diagonal blocks) does not round; adding to the
+    plain 0 an output array starts from is exact, and any other sum rounds once.
+    """
+
+    __slots__ = ("depth",)
+
+    def __init__(self, depth):
+        self.depth = depth
+
+    def __mul__(self, other):
+        return _Rounded(max(self.depth, other.depth) + 1) if isinstance(other, _Rounded) else self
+
+    def __add__(self, other):
+        return _Rounded(max(self.depth, other.depth) + 1) if isinstance(other, _Rounded) else self
+
+    __rmul__ = __mul__
+    __radd__ = __add__
+
+
+def _depths(values):
+    return [v.depth if isinstance(v, _Rounded) else 0 for v in values]
+
+
+def _leaves(n):
+    return np.array([_Rounded(0) for _ in range(n)], dtype=object)
+
+
+def test_numpy_convolve_is_one_dot_per_output():
+    # the model the counted kernel below relies on: np.convolve forms each
+    # output as one dot, so a product in it passes through at most as many
+    # roundings as the dot has products
+    for p, q in ((1, 1), (1, 7), (7, 1), (5, 9), (40, 40), (3, 60)):
+        got = _depths(np.convolve(_leaves(p), _leaves(q)))
+        assert got == [int(c) for c in np.convolve(np.ones(p), np.ones(q))], (p, q)
+
+
+@pytest.mark.parametrize("n", [1, _BLOCK - 1, _BLOCK, _BLOCK + 1, 3 * _BLOCK + 7])
+def test_sum_terms_covers_every_output_of_the_kernel(monkeypatch, n):
+    # np.convolve is replaced by the roundings of its dots (one per output,
+    # as checked above), so the kernel's block additions and exact doublings
+    # run for real on the counts
+    convolve = np.convolve
+
+    def counted(x, y):
+        lengths = convolve(np.ones(len(x)), np.ones(len(y)))
+        return np.array([_Rounded(int(c)) for c in lengths], dtype=object)
+
+    monkeypatch.setattr(np, "convolve", counted)
+    a, b = _leaves(n), _leaves(n)
+    for x, y in ((a, b), (a, a)):
+        depths = _depths(_convolve_prefix(x, y))
+        assert len(depths) == n and depths[0] == 1
+        assert max(depths) <= _sum_terms(n), (n, y is x, max(depths))
+
+
+def test_sum_terms_never_exceeds_one_plain_sum():
+    # the bound is never looser than gamma of a single sum of 2n + 16 terms
+    # for any length a scan can reach, and it is tighter for every n > 2
+    terms = [_sum_terms(n) for n in range(1, SCAN_LIMIT + 2)]
+    assert all(t <= 2 * n + 16 for n, t in enumerate(terms, start=1))
+    assert all(t < 2 * n + 16 for n, t in enumerate(terms, start=1) if n > 2)
+
+
 def _sigma_thirds(n: int) -> RationalSeries:
     # sigma(m)/3: inexact in binary floating point, small integers over 3^k exactly
     return RationalSeries([0] + [Fraction(s, 3) for s in sigma_sieve(n)[1:]])
@@ -356,9 +424,9 @@ BLOCKS_ORDER = 3 * _BLOCK + 7  # spans four blocks; order + 1 is no multiple of 
 
 @pytest.fixture(scope="module")
 def sigma_thirds_rows():
-    """Exact rows of (sigma/3)^k, k = 1..4, to BLOCKS_ORDER."""
+    """Exact rows of (sigma/3)^k, k = 1..8, to BLOCKS_ORDER; k = 8 takes three squares."""
     rows = []
-    for k in range(1, 5):
+    for k in range(1, 9):
         row = _PowerRow(k, "sigma-thirds-test")
         row.extend(BLOCKS_ORDER)
         rows.append(row)
