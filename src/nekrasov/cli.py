@@ -108,19 +108,11 @@ def cmd_qpoly(config: RunConfig) -> int:
     )
 
     if config.fmt == "json":
-        if config.method == "all":
-            payload = {
-                "methods": {
-                    m: [{"n": p.n, "coeffs": [str(c) for c in p.coeffs]} for p in polys]
-                    for m, polys in blocks.items()
-                },
-                "agree": agree,
-            }
-        else:
-            payload = [
-                {"n": p.n, "coeffs": [str(c) for c in p.coeffs]}
-                for p in blocks[config.method]
-            ]
+        rows = {
+            m: [{"n": p.n, "coeffs": [str(c) for c in p.coeffs]} for p in polys]
+            for m, polys in blocks.items()
+        }
+        payload = {"methods": rows, "agree": agree} if config.method == "all" else rows[methods[0]]
         _emit(json.dumps(payload, separators=(",", ":")), config.out)
     elif config.fmt == "csv":
         lines = ["method,n,k,coeff"]
@@ -175,6 +167,9 @@ def cmd_scan(config: RunConfig) -> int:
             print(f"scan: k={job[0]} done in {int(reports[-1].elapsed * 1000)} ms",
                   file=sys.stderr)
     reports.sort(key=lambda r: r.k)
+    for r in reports:
+        if r.certified and r.n0 is None:
+            print(f"scan: k={r.k} has no violation below n_max={r.n_max}", file=sys.stderr)
 
     if config.fmt == "json":
         _emit(json.dumps([r.to_dict() for r in reports], separators=(",", ":")), config.out)

@@ -10,7 +10,11 @@ are capped by a configurable partition budget.
 
 Every route runs in integers over a known common denominator (n! for the
 recurrence, the trivial-leg hooks and the multiplicities, (n!)^2 for the
-hooks) and makes Fractions only for the values it returns.
+hooks) and makes Fractions only for the values it returns.  An enumeration
+route writes each partition's term as prod (z + r) / prod r over its roots r
+and sums it as one packed integer product at z = 2^b (Kronecker
+substitution), with slots of b = bitlen(p(n) D) + n + 1 bits for its
+denominator D, which no coefficient can overflow.
 """
 
 from __future__ import annotations
@@ -26,10 +30,10 @@ from .partitions import (
     enumerate_partitions,
     hook_lengths,
     multiplicities,
+    partition_count,
     trivial_leg_hooks,
 )
 from .series import RationalSeries, sigma_sieve
-from .stirling import q_coeff_numerators
 
 DEFAULT_ENUM_LIMIT = 32
 ENUM_LIMIT_ENV = "NEKRASOV_ENUM_LIMIT"
@@ -80,14 +84,17 @@ class QPolynomial:
         )
 
 
-def _poly_sum_over_partitions(n: int, term, fact_power: int, limit: int | None) -> QPolynomial:
-    """Sum poly(z) / div over the partitions of n, with (poly, div) = term(part).
+def _poly_sum_over_partitions(n: int, roots, fact_power: int, limit: int | None) -> QPolynomial:
+    """Sum prod (z + r) / prod r over the partitions of n, with rs = roots(part).
 
-    Every div divides D = (n!)^fact_power, so each term is added as
-    poly * (D / div) in integers and D is divided out once per coefficient:
-    the product of the squared hooks is (n!/f_lambda)^2, that of the
-    trivial-leg hooks is a product of factorials of row-length differences,
-    and prod_j k_j! divides n! since the multiplicities sum to at most n.
+    Every prod r divides D = (n!)^fact_power (the squared hooks multiply to
+    (n!/f_lambda)^2, the trivial-leg hooks to factorials of row-length
+    differences, and the 1..k_j to prod k_j! with sum k_j <= n), so the sum
+    is taken in integers as sum (D / prod r) prod (z + r) at z = 2^b: one
+    packed product per partition, read back as n + 1 slots of b bits.  Each
+    term has non-negative coefficients summing to D prod (1 + 1/r) <= D 2^n
+    (at most n roots r >= 1), so every coefficient of the sum is at most
+    p(n) D 2^n < 2^(b-1) and no slot carries into the next.
     """
     if n < 0:
         raise ValueError("n must be non-negative")
@@ -95,38 +102,29 @@ def _poly_sum_over_partitions(n: int, term, fact_power: int, limit: int | None) 
     if n > cap:
         raise EnumerationLimitError(n, cap)
     denom = math.factorial(n) ** fact_power
-    total = [0] * (n + 1)
+    b = (partition_count(n) * denom).bit_length() + n + 1
+    z = 1 << b
+    total = 0
     for part in enumerate_partitions(n):
-        poly, div = term(part)
-        scale = denom // div
-        for k, c in enumerate(poly):
-            total[k] += c * scale
-    return QPolynomial(n, tuple(Fraction(c, denom) for c in total))
-
-
-def _hook_term(hooks: list[int], power: int) -> tuple[list[int], int]:
-    """prod (1 + z/w) over w = h^power as (prod (w + z), prod w)."""
-    weights = [h**power for h in hooks]
-    poly = [1]  # poly[k] = [z^k] prod (w + z)
-    for w in weights:
-        poly = [w * poly[0]] + [w * poly[i] + poly[i - 1] for i in range(1, len(poly))] + [1]
-    return poly, math.prod(weights)
+        rs = roots(part)
+        total += (denom // math.prod(rs)) * math.prod([z + r for r in rs])
+    return QPolynomial(n, tuple(Fraction(total >> (b * k) & (z - 1), denom) for k in range(n + 1)))
 
 
 def q_via_hooks(n: int, limit: int | None = None) -> QPolynomial:
     """Q_n from the full hook products prod (1 + z/h^2) over all partitions."""
-    return _poly_sum_over_partitions(n, lambda p: _hook_term(hook_lengths(p), 2), 2, limit)
+    return _poly_sum_over_partitions(n, lambda p: [h * h for h in hook_lengths(p)], 2, limit)
 
 
 def q_via_trivial_hooks(n: int, limit: int | None = None) -> QPolynomial:
     """Q_n from products prod (1 + z/h) over the trivial-leg hooks only."""
-    return _poly_sum_over_partitions(n, lambda p: _hook_term(trivial_leg_hooks(p), 1), 1, limit)
+    return _poly_sum_over_partitions(n, trivial_leg_hooks, 1, limit)
 
 
 def q_via_multiplicities(n: int, limit: int | None = None) -> QPolynomial:
-    """Q_n as the sum over partitions of prod_j binom(k_j + z, k_j)."""
+    """Q_n from prod_j binom(k_j + z, k_j) = prod_j (z+1)...(z+k_j)/k_j! over all partitions."""
     return _poly_sum_over_partitions(
-        n, lambda part: q_coeff_numerators(multiplicities(part).values()), 1, limit
+        n, lambda p: [r for k in multiplicities(p).values() for r in range(1, k + 1)], 1, limit
     )
 
 

@@ -23,6 +23,13 @@ class Partition:
         self.parts = parts
         self.n = sum(parts)
 
+    @classmethod
+    def _trusted(cls, parts: tuple, n: int) -> "Partition":
+        """A Partition of n from parts already known to be valid, unchecked."""
+        p = object.__new__(cls)
+        p.parts, p.n = parts, n
+        return p
+
     def __len__(self) -> int:
         return len(self.parts)
 
@@ -40,13 +47,11 @@ class Partition:
 
     def conjugate(self) -> "Partition":
         """Transpose of the Young diagram."""
-        if not self.parts:
-            return Partition(())
-        cols = [0] * self.parts[0]
+        cols = [0] * (self.parts[0] if self.parts else 0)
         for part in self.parts:
             for j in range(part):
                 cols[j] += 1
-        return Partition(cols)
+        return Partition._trusted(tuple(cols), self.n)
 
 
 def enumerate_partitions(n: int) -> Iterator[Partition]:
@@ -57,11 +62,11 @@ def enumerate_partitions(n: int) -> Iterator[Partition]:
     if n < 0:
         raise ValueError("n must be non-negative")
     if n == 0:
-        yield Partition(())
+        yield Partition._trusted((), 0)
         return
     parts = [n]
     while True:
-        yield Partition(parts)
+        yield Partition._trusted(tuple(parts), n)
         k = len(parts) - 1
         while k >= 0 and parts[k] == 1:
             k -= 1

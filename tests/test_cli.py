@@ -1,5 +1,6 @@
 """CLI command behavior: outputs, formats, exit codes, determinism."""
 
+import hashlib
 import json
 
 import pytest
@@ -52,6 +53,15 @@ def test_qpoly_json_all(capsys):
     }
 
 
+def test_qpoly_all_json_golden(capsys):
+    # sha256 of this stdout as the coefficient-by-coefficient integer kernel
+    # printed it; a change to the routes' kernels must leave it byte-identical
+    code, out, _ = run(capsys, "qpoly", "--n", "0..16", "--method", "all", "--format", "json")
+    assert code == EXIT_OK
+    digest = hashlib.sha256(out.encode()).hexdigest()
+    assert digest == "e82705319142d838270da54f7bb7010d21d05c4ee8e6d37539db04a06bf5ac2f"
+
+
 def test_qpoly_csv(capsys):
     code, out, _ = run(capsys, "qpoly", "--n", "2", "--method", "hooks",
                        "--format", "csv")
@@ -83,6 +93,16 @@ def test_scan_empty_n0(capsys):
     assert code == EXIT_OK
     row = out.strip().splitlines()[1].split(",")
     assert row[1] == ""
+
+
+def test_scan_reports_no_violation_below_n_max(capsys):
+    code, out, err = run(capsys, "scan", "--k", "9", "--n-max", "300", "--mode", "exact")
+    assert code == EXIT_OK
+    assert out.strip().splitlines()[1].split(",")[:3] == ["9", "", "exact"]
+    assert "scan: k=9 has no violation below n_max=300" in err.splitlines()
+    code, out, err = run(capsys, "scan", "--k", "2", "--n-max", "100", "--mode", "exact")
+    assert code == EXIT_OK
+    assert "no violation" not in err
 
 
 def test_scan_json(capsys):

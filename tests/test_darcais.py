@@ -9,6 +9,7 @@ import pytest
 from nekrasov.darcais import (
     EnumerationLimitError,
     QPolynomial,
+    _poly_sum_over_partitions,
     _QTable,
     a_cross_recursion,
     coefficient_series,
@@ -34,7 +35,7 @@ from nekrasov.series import (
     series_multiply,
     series_power,
 )
-from nekrasov.stirling import q_coeffs
+from nekrasov.stirling import q_coeff_numerators, q_coeffs
 
 # published values of Q_0..Q_3
 KNOWN = {
@@ -278,3 +279,57 @@ def test_table_growth_order_does_not_matter():
         assert [Fraction(g, math.factorial(i)) for i, g in enumerate(built.f_powers[j])] == list(
             power.coeffs
         )
+
+
+# ---------------------------------------------------------------------------
+# The integer kernel that the packed products replaced, kept as the oracle
+# ---------------------------------------------------------------------------
+
+def integer_poly_sum(n: int, term, fact_power: int) -> tuple[Fraction, ...]:
+    """Sum poly(z) / div over the partitions of n, (poly, div) = term(part), one
+    coefficient at a time over D = (n!)^fact_power."""
+    denom = math.factorial(n) ** fact_power
+    total = [0] * (n + 1)
+    for part in enumerate_partitions(n):
+        poly, div = term(part)
+        scale = denom // div
+        for k, c in enumerate(poly):
+            total[k] += c * scale
+    return tuple(Fraction(c, denom) for c in total)
+
+
+def hook_term(hooks: list[int], power: int) -> tuple[list[int], int]:
+    """prod (1 + z/w) over w = h^power as (prod (w + z), prod w)."""
+    weights = [h**power for h in hooks]
+    poly = [1]  # poly[k] = [z^k] prod (w + z)
+    for w in weights:
+        poly = [w * poly[0]] + [w * poly[i] + poly[i - 1] for i in range(1, len(poly))] + [1]
+    return poly, math.prod(weights)
+
+
+def test_packed_routes_match_integer_kernel():
+    for n in range(25):
+        assert q_via_hooks(n).coeffs == integer_poly_sum(
+            n, lambda p: hook_term(hook_lengths(p), 2), 2
+        )
+        assert q_via_trivial_hooks(n).coeffs == integer_poly_sum(
+            n, lambda p: hook_term(trivial_leg_hooks(p), 1), 1
+        )
+        assert q_via_multiplicities(n).coeffs == integer_poly_sum(
+            n, lambda p: q_coeff_numerators(multiplicities(p).values()), 1
+        )
+
+
+@pytest.mark.parametrize("n", [28, 29, 30])
+def test_packed_routes_wide_slots(n):
+    ref = q_via_recursion(n).coeffs
+    for method in (q_via_hooks, q_via_trivial_hooks, q_via_multiplicities):
+        assert method(n, limit=30).coeffs == ref
+
+
+def test_packed_slots_hold_the_extreme_term():
+    # n roots equal to 1 reach the slot bound D prod (1 + 1/r) = D 2^n, so the
+    # sum is p(n) (1 + z)^n with its largest coefficient p(n) binom(n, n/2)
+    for n in range(25):
+        expected = tuple(Fraction(partition_count(n) * math.comb(n, k)) for k in range(n + 1))
+        assert _poly_sum_over_partitions(n, lambda p: [1] * n, 1, None).coeffs == expected

@@ -40,12 +40,19 @@ def ref_hooks(parts):
 
 
 def test_partition_validation():
-    with pytest.raises(ValueError):
-        Partition([1, 2])
-    with pytest.raises(ValueError):
-        Partition([2, 0])
+    for bad in ([1, 2], [2, 0], [3, 0, 1], [-1], [1, 1, 2], (2, 3)):
+        with pytest.raises(ValueError):
+            Partition(bad)
     assert Partition([3, 1]).n == 4
     assert Partition(()).n == 0
+
+
+def test_unchecked_partitions_equal_checked_ones():
+    # enumerate_partitions and conjugate skip the checks that Partition(...) makes
+    for n in range(12):
+        for p in enumerate_partitions(n):
+            for q in (p, p.conjugate()):
+                assert q == Partition(q.parts) and q.n == n and type(q.parts) is tuple
 
 
 def test_enumeration_trivial_cases():
