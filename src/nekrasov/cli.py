@@ -67,6 +67,10 @@ class RunConfig:
             raise ValueError("empty k range")
         if self.command == "verify" and self.suite not in SUITES:
             raise ValueError(f"unknown suite {self.suite!r}")
+        if self.command == "verify" and self.suite in ("stirling", "all") and (
+                self.n_max or 0) > stirling.TABLE_LIMIT:
+            raise ValueError(
+                f"n_max={self.n_max} is above the Stirling limit {stirling.TABLE_LIMIT}")
 
 
 def parse_range(text: str) -> tuple[int, ...]:
@@ -294,9 +298,7 @@ def _checks_stirling(n_max: int) -> list[tuple[str, bool]]:
     ))
     ok = True
     for n in range(2, min(top, 60) + 1):
-        for m in range(1, n + 1):
-            if Fraction(m) < 2 * stirling.harmonic(n) + 1:
-                continue
+        for m in range(stirling.ratio_decay_start(n), n + 1):
             for t in range(0, n - m + 1):
                 ok = ok and stirling.stirling_ratio_decay_check(n, m, t)
     checks.append(("ratio-decay-bound", ok))
@@ -305,11 +307,15 @@ def _checks_stirling(n_max: int) -> list[tuple[str, bool]]:
     mode_ok = True
     logconcave_ok = True
     for n in range(2, part_cap + 1):
-        for part in enumerate_partitions(n):
-            k_vec = list(multiplicities(part).values())
+        # All three checks are symmetric in the multiplicities, so each
+        # multiset of them is checked once per n.
+        for k_vec in dict.fromkeys(
+            tuple(sorted(multiplicities(part).values())) for part in enumerate_partitions(n)
+        ):
             descent_ok = descent_ok and stirling.descent_check(k_vec, n).holds
             mode_ok = mode_ok and stirling.mode_bound_check(k_vec, n).holds
-            logconcave_ok = logconcave_ok and analysis.is_log_concave(stirling.q_coeffs(k_vec)) is None
+            numerators, _ = stirling.q_coeff_numerators(k_vec)
+            logconcave_ok = logconcave_ok and analysis.is_log_concave(numerators) is None
     checks.append(("constrained-sum-descent", descent_ok))
     checks.append(("mode-below-threshold", mode_ok))
     checks.append(("binomial-product-log-concave", logconcave_ok))

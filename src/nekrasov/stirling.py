@@ -14,6 +14,11 @@ from fractions import Fraction
 from typing import Iterable
 
 
+# The largest n_max a StirlingTable accepts.  Rows hold n + 1 integers of up to log2(n!)
+# bits, so the table grows like N^3.3: about 30 MB at N = 500, some 2.5 GB at 2000.
+TABLE_LIMIT = 500
+
+
 class PreconditionError(ValueError):
     """A check was called outside its mathematical precondition."""
 
@@ -30,6 +35,8 @@ class StirlingTable:
         return len(self.rows) - 1
 
     def extend(self, n_max: int) -> None:
+        if not 0 <= n_max <= TABLE_LIMIT:
+            raise ValueError(f"n_max={n_max} is outside the Stirling range 0..{TABLE_LIMIT}")
         while self.n_max < n_max:
             n = self.n_max
             prev = self.rows[n]
@@ -99,11 +106,17 @@ def sibuya_check(n: int, m: int) -> SibuyaResult:
     return SibuyaResult(ratio <= refined <= outer, ratio, refined, outer)
 
 
+def ratio_decay_start(n: int) -> int:
+    """The least m >= 2 H_n + 1 (the ratio-decay precondition), as ceil(2 H_n) + 1 in integers."""
+    h = harmonic(n)
+    return -(-2 * h.numerator // h.denominator) + 1
+
+
 def stirling_ratio_decay_check(n: int, m: int, t: int) -> bool:
     """Verify [n+1 m+t+1] <= 2^-t [n+1 m+1] exactly, for m >= 2 H_n + 1."""
     if t < 0 or m < 1 or m + t > n:
         raise ValueError("requires t >= 0, m >= 1 and m + t <= n")
-    if Fraction(m) < 2 * harmonic(n) + 1:
+    if m < ratio_decay_start(n):
         raise PreconditionError(f"m={m} is below 2*H_{n}+1")
     return (1 << t) * stirling_unsigned(n + 1, m + t + 1) <= stirling_unsigned(n + 1, m + 1)
 
@@ -118,6 +131,20 @@ def _nonzero_counts(k_vec: Iterable[int]) -> list[int]:
     return counts
 
 
+def _product_prefix(counts: list[int], total: int) -> list[int]:
+    """Coefficients 0..total of prod_j sum_l [k_j+1, l+1] z^l, zero-padded past its degree."""
+    _table.extend(max(counts, default=0) + 1)
+    coeffs = [1]
+    for k in counts:
+        row = _table.rows[k + 1][1:]
+        new = [0] * min(len(coeffs) + k, total + 1)
+        for i, a in enumerate(coeffs):
+            for l, b in enumerate(row[: len(new) - i]):
+                new[i + l] += a * b
+        coeffs = new
+    return coeffs + [0] * (total + 1 - len(coeffs))
+
+
 def q_coeff_numerators(k_vec: Iterable[int]) -> tuple[list[int], int]:
     """Coefficients of prod_j binom(k_j + z, k_j) in z, as (numerators, prod_j k_j!).
 
@@ -126,17 +153,7 @@ def q_coeff_numerators(k_vec: Iterable[int]) -> tuple[list[int], int]:
     contribute the factor 1 and are skipped.
     """
     counts = _nonzero_counts(k_vec)
-    coeffs = [1]
-    denom = 1
-    for k in counts:
-        row = [stirling_unsigned(k + 1, l + 1) for l in range(k + 1)]
-        new = [0] * (len(coeffs) + k)
-        for i, a in enumerate(coeffs):
-            for l, b in enumerate(row):
-                new[i + l] += a * b
-        coeffs = new
-        denom *= math.factorial(k)
-    return coeffs, denom
+    return _product_prefix(counts, sum(counts)), math.prod(map(math.factorial, counts))
 
 
 def q_coeffs(k_vec: Iterable[int]) -> list[Fraction]:
@@ -148,25 +165,12 @@ def q_coeffs(k_vec: Iterable[int]) -> list[Fraction]:
 def constrained_stirling_sum(k_vec: Iterable[int], total: int) -> int:
     """sum over (l_j) with sum l_j = total, 0 <= l_j <= k_j, of prod [k_j+1, l_j+1].
 
-    Dynamic program over (factor index, running total); the DP row is capped
-    at `total` so the cost stays O(#parts * total * max k_j).
+    This is the z^total coefficient of the product q_coeff_numerators
+    expands, built only up to degree `total`.
     """
     if total < 0:
         return 0
-    counts = _nonzero_counts(k_vec)
-    dp = [0] * (total + 1)
-    dp[0] = 1
-    for k in counts:
-        row = [stirling_unsigned(k + 1, l + 1) for l in range(k + 1)]
-        new = [0] * (total + 1)
-        for s, acc in enumerate(dp):
-            if acc:
-                for l, b in enumerate(row):
-                    if s + l > total:
-                        break
-                    new[s + l] += acc * b
-        dp = new
-    return dp[total]
+    return _product_prefix(_nonzero_counts(k_vec), total)[total]
 
 
 def descent_threshold(k_vec: Iterable[int], n: int) -> tuple[int, int]:
@@ -200,8 +204,8 @@ def descent_check(k_vec: Iterable[int], n: int) -> DescentResult:
     """
     counts = _nonzero_counts(k_vec)
     s, r = descent_threshold(counts, n)
-    lhs = constrained_stirling_sum(counts, s)
-    rhs = constrained_stirling_sum(counts, s - r)
+    sums = _product_prefix(counts, s)
+    lhs, rhs = sums[s], (sums[s - r] if s >= r else 0)
     return DescentResult(s, r, lhs, rhs, lhs <= rhs)
 
 
@@ -213,9 +217,9 @@ class ModeResult:
 
 
 def mode_bound_check(k_vec: Iterable[int], n: int) -> ModeResult:
-    """Check that the leftmost mode of q_coeffs(k_vec) is at most s."""
+    """Check that the leftmost mode of q_coeffs(k_vec) (that of its numerators) is at most s."""
     counts = _nonzero_counts(k_vec)
     s, _ = descent_threshold(counts, n)
-    coeffs = q_coeffs(counts)
-    mode = max(range(len(coeffs)), key=lambda i: (coeffs[i], -i))
+    coeffs, _ = q_coeff_numerators(counts)
+    mode = coeffs.index(max(coeffs))
     return ModeResult(mode, s, mode <= s)

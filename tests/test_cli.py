@@ -1,11 +1,15 @@
 """CLI command behavior: outputs, formats, exit codes, determinism."""
 
+import dataclasses
 import hashlib
 import json
+from fractions import Fraction
 
 import pytest
 
-from nekrasov.cli import EXIT_ABORTED, EXIT_OK, main, parse_range
+from nekrasov import analysis, stirling
+from nekrasov.cli import EXIT_ABORTED, EXIT_OK, EXIT_VIOLATION, _checks_stirling, main, parse_range
+from nekrasov.partitions import enumerate_partitions, multiplicities
 
 
 def run(capsys, *argv):
@@ -174,6 +178,67 @@ def test_verify_stirling(capsys):
     assert all(line.endswith(",pass") for line in out.strip().splitlines()[1:])
 
 
+@pytest.mark.parametrize("argv, digest", [
+    (("--format", "json"), "96c3874f5edf520e82a9b2daf7166a0832e3db6063fb26d0c5045c0e6bd5ee03"),
+    (("--n-max", "25", "--format", "csv"),
+     "17a9c406f008fba368656e9a32dd743dc99d311ea32a0499aae1cecd70b7110a"),
+], ids=["json", "csv-n25"])
+def test_verify_stirling_golden(capsys, argv, digest):
+    # sha256 of this stdout as the per-partition Fraction checks printed it
+    code, out, _ = run(capsys, "verify", "--suite", "stirling", *argv)
+    assert code == EXIT_OK
+    assert hashlib.sha256(out.encode()).hexdigest() == digest
+
+
+def _multisets(n):
+    return list(dict.fromkeys(
+        tuple(sorted(multiplicities(p).values())) for p in enumerate_partitions(n)
+    ))
+
+
+@pytest.mark.parametrize("check", [
+    "constrained-sum-descent", "mode-below-threshold", "binomial-product-log-concave",
+])
+@pytest.mark.parametrize("pick", [0, 10, -1])
+def test_verify_stirling_checks_every_multiset(capsys, monkeypatch, check, pick):
+    # one multiset at n = 12 fails one check; the deduplicated loop must still reach it
+    key = _multisets(12)[pick]
+    if check == "binomial-product-log-concave":
+        real_lc, target = analysis.is_log_concave, stirling.q_coeff_numerators(key)[0]
+        monkeypatch.setattr(analysis, "is_log_concave",
+                            lambda seq: 1 if list(seq) == target else real_lc(seq))
+    else:
+        name = "descent_check" if check == "constrained-sum-descent" else "mode_bound_check"
+        real = getattr(stirling, name)
+
+        def stub(k_vec, n):
+            result = real(k_vec, n)
+            if n == 12 and tuple(sorted(k_vec)) == key:
+                return dataclasses.replace(result, holds=False)
+            return result
+
+        monkeypatch.setattr(stirling, name, stub)
+    code, out, _ = run(capsys, "verify", "--suite", "stirling", "--n-max", "12")
+    assert code == EXIT_VIOLATION
+    failed = [line for line in out.strip().splitlines()[1:] if not line.endswith(",pass")]
+    assert failed == [f"stirling,{check},fail"]
+
+
+def test_verify_ratio_decay_checks_the_fraction_precondition_pairs(monkeypatch):
+    calls = []
+    real = stirling.stirling_ratio_decay_check
+    monkeypatch.setattr(stirling, "stirling_ratio_decay_check",
+                        lambda n, m, t: calls.append((n, m, t)) or real(n, m, t))
+    assert dict(_checks_stirling(60))["ratio-decay-bound"]
+    assert calls == [
+        (n, m, t)
+        for n in range(2, 61)
+        for m in range(1, n + 1)
+        if not Fraction(m) < 2 * stirling.harmonic(n) + 1
+        for t in range(n - m + 1)
+    ]
+
+
 def test_verify_logconcave(capsys):
     code, out, _ = run(capsys, "verify", "--suite", "logconcave", "--n-max", "40")
     assert code == EXIT_OK
@@ -216,6 +281,20 @@ def test_stirling_dump_csv(capsys):
                        "--format", "csv")
     assert code == EXIT_OK
     assert out.strip().splitlines()[0] == "n,m,value"
+
+
+@pytest.mark.parametrize("argv", [
+    ("stirling-dump", "--n-max", "-1"),
+    ("stirling-dump", "--n-max", str(stirling.TABLE_LIMIT + 1)),
+    ("verify", "--suite", "stirling", "--n-max", str(stirling.TABLE_LIMIT + 1)),
+    ("verify", "--suite", "all", "--n-max", str(stirling.TABLE_LIMIT + 1)),
+])
+def test_bad_stirling_size_exits_2(capsys, argv):
+    # refused before any table is built
+    code, out, err = run(capsys, *argv)
+    assert code == EXIT_ABORTED
+    assert out == ""
+    assert "Stirling" in err and "n_max=" in err
 
 
 def test_invalid_precision_cap(capsys):

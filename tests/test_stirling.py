@@ -2,21 +2,27 @@
 
 import math
 from fractions import Fraction
-from itertools import product
+from itertools import permutations, product
 
 import pytest
 
+from nekrasov.analysis import is_log_concave
+from nekrasov.cli import _checks_stirling
 from nekrasov.partitions import enumerate_partitions, multiplicities
 from nekrasov.stirling import (
+    TABLE_LIMIT,
     PreconditionError,
     StirlingTable,
     constrained_stirling_sum,
+    DescentResult,
+    ModeResult,
     descent_check,
     descent_threshold,
     harmonic,
     mode_bound_check,
     q_coeff_numerators,
     q_coeffs,
+    ratio_decay_start,
     sibuya_check,
     stirling_ratio_decay_check,
     stirling_unsigned,
@@ -41,6 +47,53 @@ def ref_constrained_sum(k_vec, total):
                 term *= stirling_unsigned(k + 1, l + 1)
             acc += term
     return acc
+
+
+def old_q_coeff_numerators(k_vec):
+    """The per-entry product kernel: one stirling_unsigned call per row entry, full degree."""
+    coeffs, denom = [1], 1
+    for k in (k for k in k_vec if k > 0):
+        row = [stirling_unsigned(k + 1, l + 1) for l in range(k + 1)]
+        new = [0] * (len(coeffs) + k)
+        for i, a in enumerate(coeffs):
+            for l, b in enumerate(row):
+                new[i + l] += a * b
+        coeffs = new
+        denom *= math.factorial(k)
+    return coeffs, denom
+
+
+def old_constrained_sum(k_vec, total):
+    """The per-entry DP over (factor index, running total), capped at total."""
+    if total < 0:
+        return 0
+    dp = [1] + [0] * total
+    for k in (k for k in k_vec if k > 0):
+        row = [stirling_unsigned(k + 1, l + 1) for l in range(k + 1)]
+        new = [0] * (total + 1)
+        for s, acc in enumerate(dp):
+            for l, b in enumerate(row):
+                if s + l > total:
+                    break
+                new[s + l] += acc * b
+        dp = new
+    return dp[total]
+
+
+def per_partition_results(n_max):
+    """The stirling suite's partition checks as first written, the oracle for its
+    deduplicated loop: every partition, two DPs for the descent, and mode and
+    log-concavity on the Fraction coefficients.  Yields (n, k_vec, s, lhs, rhs,
+    mode, first log-concavity violation)."""
+    for n in range(2, min(max(n_max, 2), 18) + 1):
+        for p in enumerate_partitions(n):
+            k_vec = list(multiplicities(p).values())
+            s, r = descent_threshold(k_vec, n)
+            nums, denom = old_q_coeff_numerators(k_vec)
+            coeffs = [Fraction(c, denom) for c in nums]
+            mode = max(range(len(coeffs)), key=lambda i: (coeffs[i], -i))
+            yield (n, k_vec, s, old_constrained_sum(k_vec, s),
+                   old_constrained_sum(k_vec, s - r), mode, is_log_concave(coeffs))
 
 
 def test_stirling_examples():
@@ -138,6 +191,22 @@ def test_ratio_decay_sweep():
                 continue
             for t in range(0, n - m + 1):
                 assert stirling_ratio_decay_check(n, m, t)
+
+
+def test_ratio_decay_precondition_matches_fraction_predicate():
+    for n in range(1, 61):
+        start = ratio_decay_start(n)
+        for m in range(1, n + 4):
+            below = Fraction(m) < 2 * harmonic(n) + 1
+            assert (m < start) == below
+            if m <= n:
+                if below:
+                    with pytest.raises(PreconditionError):
+                        stirling_ratio_decay_check(n, m, 0)
+                else:
+                    assert stirling_ratio_decay_check(n, m, 0)
+    # 2 H_1 + 1 = 3 is an integer; m = 3 meets m >= 2 H_1 + 1
+    assert ratio_decay_start(1) == 3
 
 
 def test_ratio_decay_error_kinds():
@@ -245,3 +314,61 @@ def test_q_coeffs_log_concave_small():
             coeffs = q_coeffs(multiplicities(p).values())
             assert is_log_concave(coeffs) is None
             assert is_unimodal(coeffs)[0]
+
+
+def test_table_size_limits():
+    with pytest.raises(ValueError):
+        StirlingTable(-1)
+    with pytest.raises(ValueError):
+        StirlingTable(TABLE_LIMIT + 1)
+    table = StirlingTable(3)
+    with pytest.raises(ValueError):
+        table.extend(TABLE_LIMIT + 1)
+    assert table.n_max == 3
+    with pytest.raises(ValueError):
+        stirling_unsigned(TABLE_LIMIT + 1, 1)
+
+
+def test_sliced_kernels_match_per_entry_kernels():
+    for n in range(0, 13):
+        for p in enumerate_partitions(n):
+            k_vec = list(multiplicities(p).values()) + [0]
+            assert q_coeff_numerators(k_vec) == old_q_coeff_numerators(k_vec)
+            for total in range(-1, sum(k_vec) + 3):
+                assert constrained_stirling_sum(k_vec, total) == old_constrained_sum(k_vec, total)
+
+
+def test_partition_checks_match_per_partition_oracle():
+    for n, k_vec, s, lhs, rhs, mode, violation in per_partition_results(18):
+        key = tuple(sorted(k_vec))
+        assert descent_check(key, n) == descent_check(k_vec, n)
+        assert descent_check(key, n) == DescentResult(
+            s, (n - 1).bit_length(), lhs, rhs, lhs <= rhs
+        )
+        assert mode_bound_check(key, n) == ModeResult(mode, s, mode <= s)
+        assert is_log_concave(q_coeff_numerators(key)[0]) == violation
+
+
+@pytest.mark.parametrize("n_max", [2, 5, 12, 18])
+def test_deduplicated_suite_verdicts_match_oracle(n_max):
+    descent = mode = logconcave = True
+    for n, k_vec, s, lhs, rhs, mode_at, violation in per_partition_results(n_max):
+        descent = descent and lhs <= rhs
+        mode = mode and mode_at <= s
+        logconcave = logconcave and violation is None
+    assert _checks_stirling(n_max)[-3:] == [
+        ("constrained-sum-descent", descent),
+        ("mode-below-threshold", mode),
+        ("binomial-product-log-concave", logconcave),
+    ]
+
+
+def test_checks_ignore_the_order_of_multiplicities():
+    for n in range(2, 11):
+        for p in enumerate_partitions(n):
+            k_vec = list(multiplicities(p).values())
+            ref = (descent_check(k_vec, n), mode_bound_check(k_vec, n), q_coeff_numerators(k_vec))
+            for perm in set(permutations(k_vec)):
+                assert (
+                    descent_check(perm, n), mode_bound_check(perm, n), q_coeff_numerators(perm)
+                ) == ref
