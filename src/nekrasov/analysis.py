@@ -3,13 +3,16 @@
 The scanners look for the first n where the coefficients c_{n,k} of f(q)^k
 violate log-concavity (c_n^2 < c_{n-1} c_{n+1}).  Two modes:
 
-* exact: one power row of integers over a common denominator, extended in
-  place by Miller's recurrence (a symmetric square for k = 2), so every
-  comparison is an integer cross-multiplication.  The truncation order
-  doubles until a violation is found or n_max is reached; each doubling only
-  appends and checks the new coefficients.  The same rows serve the exact
-  fallback below, the coefficients c_{n,k}, the partial sums and the
-  truncated surrogates.
+* exact: the powers f^1..f^k as rows of integers over a common
+  denominator, so every comparison is an integer cross-multiplication.
+  Row j follows from row j - 1 by q d/dq (f^j) = j f^(j-1) q f', the step
+  behind the Heim-Neuhauser recurrence for Q_n: its multipliers i f_i are
+  small integers (sigma(i) for sigma_{-1}) times one common factor.  The
+  truncation order doubles until a violation is found or n_max is reached;
+  each doubling only appends and checks the new coefficients, and the last
+  pass drops each row once the next is built.  The same kernel serves the
+  exact fallback below, the coefficients c_{n,k}, the partial sums and the
+  truncated surrogates, each of which builds its own ladder.
 * adaptive-float: ball-arithmetic enclosures of f^k (binary powering) at 53
   bits over the whole range.  Their radii count the roundings of the blocked
   convolution kernel, not of one long sum, so float64 alone decides the
@@ -172,7 +175,7 @@ class ShapeReport:
 
 
 # ---------------------------------------------------------------------------
-# Exact power rows, extended in place by Miller's recurrence
+# Exact power rows, a q d/dq ladder extended in place
 # ---------------------------------------------------------------------------
 
 def _scaled_rule_base(rule: str, n_max: int) -> tuple[list[int], int]:
@@ -183,16 +186,25 @@ def _scaled_rule_base(rule: str, n_max: int) -> tuple[list[int], int]:
 
 
 class _PowerRow:
-    """Coefficients of f^k for a registered rule f, as integers over denom^k.
+    """The powers f^0..f^k of a registered rule f, as integers over denom^j.
 
-    base[n] = f_n denom and nums[n] = [q^n] f^k denom^k, where denom is the lcm
-    of f's denominators up to the current order.  For k = 2, nums[n] is the
-    symmetric square 2 sum_{i < n-i} base_i base_{n-i} + base_{n/2}^2.  For
-    k >= 3, with base = q^m0 h(q), h_0 != 0, g_i = nums[k m0 + i] follows from
-    J.C.P. Miller's recurrence (Knuth, TAOCP vol. 2, 4.7)
-    i h_0 g_i = sum_{j=1..i} ((k+1) j - i) h_j g_{i-j}, whose divisions are
-    exact.  `extend` appends coefficients and rescales the stored ones by
-    (denom'/denom)^k when denom grows; nothing is recomputed.
+    rows[j][n] = [q^n] f^j denom^j, where denom is the lcm of f's
+    denominators up to the current order; base = rows[1] and nums = rows[k].
+    Applying q d/dq to f^j gives q (f^j)' = j f^(j-1) q f', that is
+    n c_{n,j} = j sum_{i=1..n} i f_i c_{n-i,j-1}, the same step that yields
+    the Heim-Neuhauser recurrence for Q_n (darcais).  Scaled, with
+    g = gcd_i(i base_i) and e_i = i base_i / g,
+        rows[j][n] = j g sum_{i=1..n} e_i rows[j-1][n-i] / n,   rows[j][0] = base_0^j,
+    a division that is exact because the left side is an integer.  For
+    sigma_{-1}, i f_i = sigma(i), so g = denom and e_i = sigma(i): each step
+    multiplies big entries by small integers, where J.C.P. Miller's power
+    recurrence needs big-by-big products.  Row j is built from row j - 1,
+    so the ladder keeps every row up to k.
+
+    `extend` rescales the stored rows by (denom'/denom)^j when denom grows,
+    then only appends.  A build that is never extended again passes
+    `free=True`: row j - 1 is dropped once row j is complete (base stays),
+    and a later `extend` raises ValueError.
     """
 
     def __init__(self, k: int, rule: str):
@@ -200,41 +212,50 @@ class _PowerRow:
         self.rule = rule
         self.base: list[int] = []
         self.denom = 1
-        self.nums: list[int] = []
+        self.rows: list[list[int] | None] = [[] for _ in range(k + 1)]
+        self.freed = False
 
-    def extend(self, order: int) -> None:
-        """Make nums[0..order] available."""
-        old = len(self.nums)
-        if order < old:
+    @property
+    def nums(self) -> list[int]:
+        return self.rows[self.k]
+
+    def extend(self, order: int, free: bool = False) -> None:
+        """Make rows[0..k][0..order] available."""
+        if self.freed:
+            raise ValueError("this power row freed its ladder and cannot be extended")
+        rows = self.rows
+        if order < len(rows[self.k]):
             return
-        base, denom = _scaled_rule_base(self.rule, order)
-        scale, rem = divmod(denom, self.denom)
-        if rem or [c * scale for c in self.base] != base[:old]:
-            raise ValueError(f"series rule {self.rule!r} changed its coefficients below q^{old}")
-        k = self.k
-        factor = scale**k
-        nums = self.nums = [c * factor for c in self.nums]
-        self.base, self.denom = base, denom
-        if k <= 1:  # f^0 = 1 and f^1 = f need no recurrence
-            nums.extend(base[old:] if k else (int(n == 0) for n in range(old, order + 1)))
-            return
-        if k == 2:  # a symmetric square, each pair i < n - i once, costs half of Miller's
-            for n in range(old, order + 1):
-                half = sum(map(mul, base[: (n + 1) // 2], reversed(base[n // 2 + 1 : n + 1])))
-                nums.append(2 * half + (base[n // 2] ** 2 if n % 2 == 0 else 0))
-            return
-        m0 = next((i for i, c in enumerate(base) if c), order + 1)
-        off = k * m0
-        h = base[m0:]
-        for n in range(old, order + 1):
-            i = n - off
-            if i <= 0:
-                nums.append(h[0] ** k if i == 0 else 0)
-                continue
-            weighted = map(mul, range(k + 1 - i, k * i + 1, k + 1), h[1 : i + 1])
-            g, rem = divmod(sum(map(mul, weighted, reversed(nums[off:n]))), i * h[0])
-            assert rem == 0, "Miller's recurrence divides exactly"
-            nums.append(g)
+        old = len(self.base)
+        if order >= old:
+            base, denom = _scaled_rule_base(self.rule, order)
+            scale, rem = divmod(denom, self.denom)
+            if rem or [c * scale for c in self.base] != base[:old]:
+                raise ValueError(f"series rule {self.rule!r} changed its coefficients below q^{old}")
+            if scale != 1:  # every stored row moves to the new denom before denom changes
+                factors = [scale**j for j in range(2, self.k + 1)]
+                rows[2:] = [[c * f for c in row] for row, f in zip(rows[2:], factors)]
+            self.base, self.denom = base, denom
+        base = self.base
+        rows[0] += [int(n == 0) for n in range(len(rows[0]), order + 1)]
+        if self.k >= 1:
+            rows[1] = base
+        weights = [i * c for i, c in enumerate(base[: order + 1])]
+        g = math.gcd(*weights) or 1
+        rev = [w // g for w in reversed(weights)]  # rev[order - i] = e_i
+        for j in range(2, self.k + 1):
+            row, prev = rows[j], rows[j - 1]
+            if not row:
+                row.append(base[0] ** j)
+            jg = j * g
+            for n in range(len(row), order + 1):
+                c, rem = divmod(jg * sum(map(mul, rev[order - n : order], prev)), n)
+                assert rem == 0, "the q d/dq step divides exactly"
+                row.append(c)
+            if free and j > 2:
+                rows[j - 1] = None
+        if free:
+            self.freed = True
 
 
 # ---------------------------------------------------------------------------
@@ -303,7 +324,7 @@ def _scan_core(
         row = _PowerRow(k, rule)
         lo, order = 2, min(max(64, k + 2), n_max)
         while True:
-            row.extend(order)
+            row.extend(order, free=order == n_max)  # the last pass is never extended again
             c = row.nums
             n0 = next((n for n in range(lo, order) if c[n] * c[n] < c[n - 1] * c[n + 1]), None)
             if n0 is not None or order == n_max:
@@ -332,7 +353,7 @@ def _scan_core(
         resolvable = [u for u in undecided if u <= exact_fallback]
         exact_row = _PowerRow(k, rule)
         if resolvable:
-            exact_row.extend(max(resolvable) + 1)
+            exact_row.extend(max(resolvable) + 1, free=True)
         c = exact_row.nums
         for u in undecided:
             if u > exact_fallback:
@@ -400,16 +421,16 @@ def scan_conjecture_custom(
 
 
 # ---------------------------------------------------------------------------
-# Exact coefficient rows of f^k, cached for the ratio and surrogate reports
+# Exact coefficient rows of f^k, rebuilt per call
 # ---------------------------------------------------------------------------
 
-_row_cache: dict[int, _PowerRow] = {}
+def _sigma_power(k: int, n: int) -> _PowerRow:
+    """A one-shot sigma_{-1} ladder to q^n; its nums are f^k.
 
-
-def _exact_sigma_row(k: int, n_max: int) -> _PowerRow:
-    """The cached power row of f^k (one per k), extended to q^n_max at least."""
-    row = _row_cache.setdefault(k, _PowerRow(k, "sigma-minus-one"))
-    row.extend(n_max)
+    The ladder is cheap enough to rebuild per call, so nothing is cached.
+    """
+    row = _PowerRow(k, "sigma-minus-one")
+    row.extend(n, free=True)
     return row
 
 
@@ -417,7 +438,7 @@ def coefficient_c(n: int, k: int) -> Fraction:
     """c_{n,k}: the coefficient of q^n in f(q)^k, exactly."""
     if k < 0 or n < 0:
         raise ValueError("indices must be non-negative")
-    row = _exact_sigma_row(k, n)
+    row = _sigma_power(k, n)
     return Fraction(row.nums[n], row.denom**k)
 
 
@@ -440,7 +461,7 @@ def partial_sum_ratio(k: int, n: int) -> RatioReport:
         raise ValueError("k must be >= 1")
     if n < max(2, k * k):
         raise ValueError(f"requires n >= max(2, k^2) = {max(2, k * k)}")
-    row = _exact_sigma_row(k - 1, n)
+    row = _sigma_power(k - 1, n)
     prefix = list(accumulate(row.base[: n + 1]))
     lhs = Fraction(sum(map(mul, row.nums[: n + 1], reversed(prefix))), row.denom**k)
     lo6, hi6 = pi2_over_6_bounds()
@@ -508,7 +529,7 @@ def surrogate_truncated_sequence(k: int, n_lo: int, n_hi: int) -> list[Fraction]
     """Values of the truncated surrogate over a range, one row fetch."""
     if n_lo < 27:
         raise ValueError("requires n_lo >= 27")
-    row = _exact_sigma_row(k, max(n_hi - 26, 1))
+    row = _sigma_power(k, max(n_hi - 26, 1))
     denom = row.denom**k * math.factorial(k)
     return [
         Fraction(sum(partition_count(n - i) * row.nums[i] for i in range(n - 25)), denom)

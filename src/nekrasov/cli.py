@@ -291,7 +291,7 @@ def _checks_stirling(n_max: int) -> list[tuple[str, bool]]:
     checks.append((
         "sibuya-inequality",
         all(
-            stirling.sibuya_check(n, m).holds
+            stirling.sibuya_holds(n, m)
             for n in range(2, top + 1)
             for m in range(2, n + 1)
         ),

@@ -91,19 +91,32 @@ class SibuyaResult:
     harmonic_bound: Fraction
 
 
+def sibuya_holds(n: int, m: int) -> bool:
+    """Sibuya's inequality [n m]/[n m-1] <= (n-m+1) H_{n-1} / ((n-1)(m-1)), in integers.
+
+    With H_{n-1} = p/q it reads [n m] q (n-1)(m-1) <= [n m-1] (n-m+1) p.
+    The outer bound of sibuya_check, (n-m+1) H_{n-1} / ((n-1)(m-1)) <=
+    H_{n-1}/(m-1), is n - m + 1 <= n - 1, which m >= 2 already gives.
+    """
+    if n < 2 or m < 2 or m > n:
+        raise ValueError("requires n >= 2 and 2 <= m <= n")
+    h = harmonic(n - 1)
+    lhs = stirling_unsigned(n, m) * h.denominator * (n - 1) * (m - 1)
+    return lhs <= stirling_unsigned(n, m - 1) * (n - m + 1) * h.numerator
+
+
 def sibuya_check(n: int, m: int) -> SibuyaResult:
     """Sibuya's inequality for consecutive-ratio decay of Stirling rows.
 
     Checks [n m]/[n m-1] <= (n-m+1) H_{n-1} / ((n-1)(m-1)) <= H_{n-1}/(m-1),
-    exactly, and returns the three compared quantities.
+    exactly (sibuya_holds), and returns the three compared quantities.
     """
-    if n < 2 or m < 2 or m > n:
-        raise ValueError("requires n >= 2 and 2 <= m <= n")
+    holds = sibuya_holds(n, m)
     ratio = Fraction(stirling_unsigned(n, m), stirling_unsigned(n, m - 1))
     h = harmonic(n - 1)
     refined = Fraction(n - m + 1) * h / ((n - 1) * (m - 1))
     outer = h / (m - 1)
-    return SibuyaResult(ratio <= refined <= outer, ratio, refined, outer)
+    return SibuyaResult(holds, ratio, refined, outer)
 
 
 def ratio_decay_start(n: int) -> int:

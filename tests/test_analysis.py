@@ -363,8 +363,8 @@ def test_power_row_extended_in_steps_equals_built_at_once():
     "rule", ["sigma-minus-one", "remark-series", "late-start-test", "mixed-signs-test"]
 )
 def test_power_row_square_grown_equals_the_full_product(rule):
-    # k = 2 sums each pair i < n - i once and doubles it; the oracle forms
-    # every pair, so it shares no code with the kernel
+    # the oracle forms every pair of the square, so it shares no code with
+    # the ladder, which builds f^2 from f by q d/dq
     row = _PowerRow(2, rule)
     for order in (64, 100, 200):
         row.extend(order)
@@ -380,6 +380,114 @@ def test_power_row_refuses_a_rule_that_rewrites_its_prefix():
     row.extend(10)
     with pytest.raises(ValueError, match="changed its coefficients"):
         row.extend(20)
+
+
+class _MillerRow:
+    """The exact power row as first written: the oracle of the q d/dq ladder.
+
+    Integers over denom^k like _PowerRow; k = 2 is a symmetric square and
+    k >= 3 follows J.C.P. Miller's recurrence (Knuth, TAOCP vol. 2, 4.7)
+    i h_0 g_i = sum_{j=1..i} ((k+1) j - i) h_j g_{i-j} for base = q^m0 h(q),
+    extended in place with a rescale by (denom'/denom)^k.
+    """
+
+    def __init__(self, k: int, rule: str):
+        self.k = k
+        self.rule = rule
+        self.base: list[int] = []
+        self.denom = 1
+        self.nums: list[int] = []
+
+    def extend(self, order: int) -> None:
+        old = len(self.nums)
+        if order < old:
+            return
+        base, denom = analysis._scaled_rule_base(self.rule, order)
+        scale, rem = divmod(denom, self.denom)
+        assert rem == 0 and [c * scale for c in self.base] == base[:old]
+        k = self.k
+        factor = scale**k
+        nums = self.nums = [c * factor for c in self.nums]
+        self.base, self.denom = base, denom
+        if k <= 1:
+            nums.extend(base[old:] if k else (int(n == 0) for n in range(old, order + 1)))
+            return
+        if k == 2:
+            for n in range(old, order + 1):
+                half = sum(base[i] * base[n - i] for i in range((n + 1) // 2))
+                nums.append(2 * half + (base[n // 2] ** 2 if n % 2 == 0 else 0))
+            return
+        m0 = next((i for i, c in enumerate(base) if c), order + 1)
+        off = k * m0
+        h = base[m0:]
+        for n in range(old, order + 1):
+            i = n - off
+            if i <= 0:
+                nums.append(h[0] ** k if i == 0 else 0)
+                continue
+            acc = sum(((k + 1) * j - i) * h[j] * nums[n - j] for j in range(1, i + 1))
+            g, rem = divmod(acc, i * h[0])
+            assert rem == 0
+            nums.append(g)
+
+
+def _oracle(k: int, rule: str, orders) -> _MillerRow:
+    row = _MillerRow(k, rule)
+    for order in orders:
+        row.extend(order)
+    return row
+
+
+def _same_row(row: _PowerRow, oracle: _MillerRow) -> bool:
+    return (row.nums, row.denom, row.base) == (oracle.nums, oracle.denom, oracle.base)
+
+
+@pytest.mark.parametrize("rule", KERNEL_RULES)
+def test_ladder_built_at_once_equals_millers_row(rule):
+    for order in (1, 5, 64, 130):
+        for k in range(10):
+            row = _PowerRow(k, rule)
+            row.extend(order)
+            assert _same_row(row, _oracle(k, rule, [order])), (order, k)
+
+
+@pytest.mark.parametrize("rule", KERNEL_RULES)
+def test_ladder_grown_equals_millers_row(rule):
+    for k in range(10):
+        row = _PowerRow(k, rule)
+        for order in (64, 100, 200):
+            row.extend(order)
+        assert _same_row(row, _oracle(k, rule, [64, 100, 200])), k
+
+
+@pytest.mark.parametrize("rule", KERNEL_RULES)
+def test_ladder_freeing_build_equals_millers_row_and_refuses_to_grow(rule):
+    for k in range(10):
+        row = _PowerRow(k, rule)
+        row.extend(64)
+        row.extend(130, free=True)
+        assert _same_row(row, _oracle(k, rule, [64, 130])), k
+        assert all(r is None for r in row.rows[2:k])  # only base and f^k are kept
+        with pytest.raises(ValueError, match="freed"):
+            row.extend(200)
+        with pytest.raises(ValueError, match="freed"):
+            row.extend(10)
+
+
+def test_exact_scan_frees_only_its_last_pass(monkeypatch):
+    frees = []
+    extend = _PowerRow.extend
+
+    def recorded(self, order, free=False):
+        frees.append((order, free))
+        extend(self, order, free)
+
+    monkeypatch.setattr(_PowerRow, "extend", recorded)
+    assert scan_conjecture(7, mode="exact").n0 == 251
+    assert frees == [(64, False), (128, False), (256, True)]
+    frees.clear()
+    assert scan_conjecture(6, 1000, mode="exact").n0 == 135  # found before n_max
+    assert frees == [(64, False), (128, False), (256, False)]
 
 
 def test_exact_scan_checks_the_order_it_doubled_from():

@@ -424,27 +424,24 @@ BLOCKS_ORDER = 3 * _BLOCK + 7  # spans four blocks; order + 1 is no multiple of 
 
 @pytest.fixture(scope="module")
 def sigma_thirds_rows():
-    """Exact rows of (sigma/3)^k, k = 1..8, to BLOCKS_ORDER; k = 8 takes three squares."""
-    rows = []
-    for k in range(1, 9):
-        row = _PowerRow(k, "sigma-thirds-test")
-        row.extend(BLOCKS_ORDER)
-        rows.append(row)
-    return rows
+    """One exact ladder of (sigma/3)^k, k = 0..8, to BLOCKS_ORDER; k = 8 takes three squares."""
+    ladder = _PowerRow(8, "sigma-thirds-test")
+    ladder.extend(BLOCKS_ORDER)
+    return ladder
 
 
 @pytest.mark.parametrize("dtype", DTYPES)
 def test_ball_power_encloses_exact_rows_across_blocks(sigma_thirds_rows, dtype):
     ball = BallSeries.from_fractions(custom_series("sigma-thirds-test", BLOCKS_ORDER).coeffs, dtype)
-    for row in sigma_thirds_rows:
-        lo, hi = ball.power(row.k).bounds()
-        scale = row.denom**row.k
-        for n, num in enumerate(row.nums):
-            assert _as_fraction(lo[n]) * scale <= num <= _as_fraction(hi[n]) * scale, (row.k, n)
+    for k in range(1, 9):
+        lo, hi = ball.power(k).bounds()
+        scale = sigma_thirds_rows.denom**k
+        for n, num in enumerate(sigma_thirds_rows.rows[k]):
+            assert _as_fraction(lo[n]) * scale <= num <= _as_fraction(hi[n]) * scale, (k, n)
             if num:
-                assert (hi[n] - lo[n]) * scale < 1e-9 * num, (row.k, n)
+                assert (hi[n] - lo[n]) * scale < 1e-9 * num, (k, n)
             else:
-                assert lo[n] == hi[n] == 0, (row.k, n)
+                assert lo[n] == hi[n] == 0, (k, n)
 
 
 def test_ball_multiply_radius_covers_underflow():

@@ -24,6 +24,7 @@ from nekrasov.stirling import (
     q_coeffs,
     ratio_decay_start,
     sibuya_check,
+    sibuya_holds,
     stirling_ratio_decay_check,
     stirling_unsigned,
 )
@@ -171,6 +172,31 @@ def test_sibuya_small_sweep():
 def test_sibuya_precondition():
     with pytest.raises(ValueError):
         sibuya_check(4, 1)
+    for n, m in ((4, 1), (1, 1), (3, 4)):
+        with pytest.raises(ValueError):
+            sibuya_holds(n, m)
+
+
+def test_sibuya_holds_equals_the_fraction_chain():
+    for n in range(2, 151):
+        for m in range(2, n + 1):
+            res = sibuya_check(n, m)
+            verdict = res.ratio <= res.refined_bound <= res.harmonic_bound
+            assert sibuya_holds(n, m) is res.holds is verdict, (n, m)
+
+
+def test_sibuya_holds_fails_a_ratio_above_the_bound(monkeypatch):
+    # (4, 2) is the equality case: one more in [4 2] must break it
+    from nekrasov import stirling
+
+    real = stirling.stirling_unsigned
+    monkeypatch.setattr(
+        stirling, "stirling_unsigned", lambda n, m: real(n, m) + ((n, m) == (4, 2))
+    )
+    assert not sibuya_holds(4, 2)
+    res = sibuya_check(4, 2)
+    assert not res.holds and res.ratio > res.refined_bound
+    assert sibuya_holds(5, 2) and sibuya_holds(4, 3)
 
 
 def test_ratio_decay_trivial_t0():
