@@ -8,11 +8,12 @@ violate log-concavity (c_n^2 < c_{n-1} c_{n+1}).  Two modes:
   Row j follows from row j - 1 by q d/dq (f^j) = j f^(j-1) q f', the step
   behind the Heim-Neuhauser recurrence for Q_n: its multipliers i f_i are
   small integers (sigma(i) for sigma_{-1}) times one common factor.  The
-  truncation order doubles until a violation is found or n_max is reached;
-  each doubling only appends and checks the new coefficients, and the last
-  pass drops each row once the next is built.  The same kernel serves the
-  exact fallback below, the coefficients c_{n,k}, the partial sums and the
-  truncated surrogates, each of which builds its own ladder.
+  ladder is `series._PowerRow`, the package's one exact kernel for powers of
+  f.  The truncation order doubles until a violation is found or n_max is
+  reached; each doubling only appends and checks the new coefficients, and
+  the last pass drops each row once the next is built.  The same kernel
+  serves the exact fallback below, the coefficients c_{n,k}, the partial
+  sums and the truncated surrogates, each of which builds its own ladder.
 * adaptive-float: ball-arithmetic enclosures of f^k (binary powering) at 53
   bits over the whole range.  Their radii count the roundings of the blocked
   convolution kernel, not of one long sum, so float64 alone decides the
@@ -42,6 +43,7 @@ from .partitions import partition_count
 from .series import (
     BallSeries,
     _ld_available,
+    _PowerRow,
     custom_series,
     pi2_over_6_bounds,
 )
@@ -172,90 +174,6 @@ class ShapeReport:
     tail_from: int
     low_scale: float  # n^(1/6) / ln n
     high_scale: float  # sqrt(n) * ln n
-
-
-# ---------------------------------------------------------------------------
-# Exact power rows, a q d/dq ladder extended in place
-# ---------------------------------------------------------------------------
-
-def _scaled_rule_base(rule: str, n_max: int) -> tuple[list[int], int]:
-    """A registered series as (numerators, denominator): the lcm of its denominators."""
-    coeffs = custom_series(rule, n_max).coeffs
-    denom = math.lcm(*(c.denominator for c in coeffs))
-    return [c.numerator * (denom // c.denominator) for c in coeffs], denom
-
-
-class _PowerRow:
-    """The powers f^0..f^k of a registered rule f, as integers over denom^j.
-
-    rows[j][n] = [q^n] f^j denom^j, where denom is the lcm of f's
-    denominators up to the current order; base = rows[1] and nums = rows[k].
-    Applying q d/dq to f^j gives q (f^j)' = j f^(j-1) q f', that is
-    n c_{n,j} = j sum_{i=1..n} i f_i c_{n-i,j-1}, the same step that yields
-    the Heim-Neuhauser recurrence for Q_n (darcais).  Scaled, with
-    g = gcd_i(i base_i) and e_i = i base_i / g,
-        rows[j][n] = j g sum_{i=1..n} e_i rows[j-1][n-i] / n,   rows[j][0] = base_0^j,
-    a division that is exact because the left side is an integer.  For
-    sigma_{-1}, i f_i = sigma(i), so g = denom and e_i = sigma(i): each step
-    multiplies big entries by small integers, where J.C.P. Miller's power
-    recurrence needs big-by-big products.  Row j is built from row j - 1,
-    so the ladder keeps every row up to k.
-
-    `extend` rescales the stored rows by (denom'/denom)^j when denom grows,
-    then only appends.  A build that is never extended again passes
-    `free=True`: row j - 1 is dropped once row j is complete (base stays),
-    and a later `extend` raises ValueError.
-    """
-
-    def __init__(self, k: int, rule: str):
-        self.k = k
-        self.rule = rule
-        self.base: list[int] = []
-        self.denom = 1
-        self.rows: list[list[int] | None] = [[] for _ in range(k + 1)]
-        self.freed = False
-
-    @property
-    def nums(self) -> list[int]:
-        return self.rows[self.k]
-
-    def extend(self, order: int, free: bool = False) -> None:
-        """Make rows[0..k][0..order] available."""
-        if self.freed:
-            raise ValueError("this power row freed its ladder and cannot be extended")
-        rows = self.rows
-        if order < len(rows[self.k]):
-            return
-        old = len(self.base)
-        if order >= old:
-            base, denom = _scaled_rule_base(self.rule, order)
-            scale, rem = divmod(denom, self.denom)
-            if rem or [c * scale for c in self.base] != base[:old]:
-                raise ValueError(f"series rule {self.rule!r} changed its coefficients below q^{old}")
-            if scale != 1:  # every stored row moves to the new denom before denom changes
-                factors = [scale**j for j in range(2, self.k + 1)]
-                rows[2:] = [[c * f for c in row] for row, f in zip(rows[2:], factors)]
-            self.base, self.denom = base, denom
-        base = self.base
-        rows[0] += [int(n == 0) for n in range(len(rows[0]), order + 1)]
-        if self.k >= 1:
-            rows[1] = base
-        weights = [i * c for i, c in enumerate(base[: order + 1])]
-        g = math.gcd(*weights) or 1
-        rev = [w // g for w in reversed(weights)]  # rev[order - i] = e_i
-        for j in range(2, self.k + 1):
-            row, prev = rows[j], rows[j - 1]
-            if not row:
-                row.append(base[0] ** j)
-            jg = j * g
-            for n in range(len(row), order + 1):
-                c, rem = divmod(jg * sum(map(mul, rev[order - n : order], prev)), n)
-                assert rem == 0, "the q d/dq step divides exactly"
-                row.append(c)
-            if free and j > 2:
-                rows[j - 1] = None
-        if free:
-            self.freed = True
 
 
 # ---------------------------------------------------------------------------

@@ -15,6 +15,7 @@ import math
 import sys
 from dataclasses import dataclass
 from fractions import Fraction
+from operator import mul
 from typing import Callable, Sequence
 
 from . import analysis, darcais, series, stirling
@@ -63,14 +64,20 @@ class RunConfig:
                 raise ValueError("empty n range")
             if self.method not in METHOD_CHOICES:
                 raise ValueError(f"unknown method {self.method!r}")
+            if self.method in ("recursion", "all") and max(self.ns) > darcais.TABLE_LIMIT:
+                raise ValueError(f"n={max(self.ns)} is above the Q table limit {darcais.TABLE_LIMIT}")
         if self.command == "scan" and not self.ks:
             raise ValueError("empty k range")
-        if self.command == "verify" and self.suite not in SUITES:
-            raise ValueError(f"unknown suite {self.suite!r}")
-        if self.command == "verify" and self.suite in ("stirling", "all") and (
-                self.n_max or 0) > stirling.TABLE_LIMIT:
-            raise ValueError(
-                f"n_max={self.n_max} is above the Stirling limit {stirling.TABLE_LIMIT}")
+        if self.command == "verify":
+            n_max = self.n_max or 0
+            if self.suite not in SUITES:
+                raise ValueError(f"unknown suite {self.suite!r}")
+            if n_max < 0:
+                raise ValueError(f"n_max={n_max} is negative")
+            if self.suite in ("stirling", "all") and n_max > stirling.TABLE_LIMIT:
+                raise ValueError(f"n_max={n_max} is above the Stirling limit {stirling.TABLE_LIMIT}")
+            if self.suite != "stirling" and n_max > darcais.TABLE_LIMIT:
+                raise ValueError(f"n_max={n_max} is above the Q table limit {darcais.TABLE_LIMIT}")
 
 
 def parse_range(text: str) -> tuple[int, ...]:
@@ -197,19 +204,21 @@ def cmd_scan(config: RunConfig) -> int:
 # ---------------------------------------------------------------------------
 
 def _checks_identities(n_max: int) -> list[tuple[str, bool]]:
-    checks = []
-    f = series.f_series(n_max)
-    checks.append((
-        "exp-of-f-equals-partition-series",
-        series.series_exp(f) == series.partition_series(n_max),
-    ))
     pseries = series.partition_series(n_max)
+    checks = [("exp-of-f-equals-partition-series",
+               series.series_exp(series.f_series(n_max)) == pseries)]
+    ladder = series._PowerRow(6, "sigma-minus-one")  # rows[k][n] = [q^n] f^k denom^k
+    ladder.extend(n_max)
+    rows, p = ladder.rows, [int(c) for c in pseries]
+
+    def cauchy(x: list[int], y: list[int], n: int) -> int:
+        return sum(map(mul, x[: n + 1], reversed(y[: n + 1])))
+
     ok = True
     for k in range(0, min(5, n_max) + 1):
         lhs = darcais.coefficient_series(k, n_max)
-        rhs = series.series_multiply(series.series_power(f, k), pseries)
-        inv_kf = Fraction(1, math.factorial(k))
-        ok = ok and all(lhs[n] == rhs[n] * inv_kf for n in range(n_max + 1))
+        scale = ladder.denom**k * math.factorial(k)
+        ok = ok and all(lhs[n] == Fraction(cauchy(rows[k], p, n), scale) for n in range(n_max + 1))
     checks.append(("generating-identity-per-k", ok))
     enum_cap = min(n_max, darcais.enumeration_limit())
     ok = True
@@ -227,14 +236,11 @@ def _checks_identities(n_max: int) -> list[tuple[str, bool]]:
             for q in table
         ),
     ))
-    order = min(n_max, 100)
-    fs = series.f_series(order)
-    powers = {j: series.series_power(fs, j) for j in range(1, 7)}
-    ok = True
-    for a in range(1, 6):
-        for b in range(1, 7 - a):
-            ok = ok and series.series_multiply(powers[a], powers[b]) == powers[a + b]
-    checks.append(("power-consistency", ok))
+    # rows a and b share the denom, so their integer product is row a + b
+    checks.append(("power-consistency", all(
+        cauchy(rows[a], rows[b], n) == rows[a + b][n]
+        for a in range(1, 6) for b in range(1, 7 - a) for n in range(min(n_max, 100) + 1)
+    )))
     return checks
 
 

@@ -5,8 +5,8 @@ sum_n Q_n(z) q^n = prod_{m>=1} (1 - q^m)^(-z-1).  The coefficient table
 A[n][k] can equally be computed from trivial-leg hooks, from part-multiplicity
 binomials, or from the recurrence n Q_n = (z+1) sum_{j<=n} sigma(j) Q_{n-j}
 of Heim and Neuhauser (Integers 18, 2018), which is q d/dq of the product.
-The recurrence is the designated route for large n; the enumeration methods
-are capped by a configurable partition budget.
+The recurrence is the designated route for large n, up to TABLE_LIMIT; the
+enumeration methods are capped by a configurable partition budget.
 
 Every route runs in integers over a known common denominator (n! for the
 recurrence, the trivial-leg hooks and the multiplicities, (n!)^2 for the
@@ -24,6 +24,7 @@ import math
 import os
 from dataclasses import dataclass
 from fractions import Fraction
+from itertools import accumulate
 from operator import mul
 
 from .partitions import (
@@ -33,9 +34,10 @@ from .partitions import (
     partition_count,
     trivial_leg_hooks,
 )
-from .series import RationalSeries, sigma_sieve
+from .series import RationalSeries, _PowerRow, sigma_sieve
 
 DEFAULT_ENUM_LIMIT = 32
+TABLE_LIMIT = 500  # the largest n of the recurrence table: about 125 MB peak RSS at the top
 ENUM_LIMIT_ENV = "NEKRASOV_ENUM_LIMIT"
 
 
@@ -135,16 +137,17 @@ class _QTable:
     sigma(j) Q_{n-j} as R_n = (z+1) sum_j sigma(j) (n-1)!/(n-j)! R_{n-j},
     all in integers.  Appending row n also stores its Fraction row
     A[n][.] = R_n / n!, so warm reads return stored values; a column A[.][k]
-    is read off the rows.  The powers of f are kept the same way, as
-    G_j[i] = i! [q^i] f^j, and grown in place when a longer or a higher power
-    is needed.  Nothing is ever rebuilt.  The tables are append-only and
+    is read off the rows.  The powers of f that `a_cross_recursion` needs
+    come from one sigma_{-1} ladder, `series._PowerRow` (the package's one
+    exact kernel for them), extended in place and replaced by a taller one
+    when a higher power is asked for.  The tables are append-only and
     unlocked: the package runs single-threaded (scan --jobs uses processes).
     """
 
     def __init__(self):
         self.int_cols: list[list[int]] = []  # int_cols[k][m - k] = R_m[k] = m! A[m][k]
         self.rows: list[tuple[Fraction, ...]] = []  # rows[n][k] = A[n][k]
-        self.f_powers: list[list[int]] = [[1]]  # f_powers[j][i] = G_j[i]
+        self.powers = _PowerRow(1, "sigma-minus-one")  # never freed
 
     @property
     def n_max(self) -> int:
@@ -154,13 +157,16 @@ class _QTable:
         """Append the rows up to n_max: R_n and A[n][.]."""
         if n_max <= self.n_max:
             return
+        if n_max > TABLE_LIMIT:
+            raise ValueError(f"n={n_max} is above the Q table limit {TABLE_LIMIT}")
         sigma = sigma_sieve(n_max)
         for n in range(self.n_max + 1, n_max + 1):
             if n == 0:
                 ints = [1]
             else:
-                w = _falling_sigma(n, sigma)
-                # s[k] = sum_j w[j-1] R_{n-j}[k]: column k holds R_k..R_{n-1}
+                # w[j-1] = sigma(j) (n-1)!/(n-j)!, and s[k] = sum_j w[j-1] R_{n-j}[k]:
+                # column k holds R_k..R_{n-1}
+                w = list(map(mul, sigma[1 : n + 1], accumulate(range(n - 1, 0, -1), mul, initial=1)))
                 s = [sum(map(mul, w, reversed(col))) for col in self.int_cols]
                 ints = [s[0]] + [s[k] + s[k - 1] for k in range(1, n)] + [s[n - 1]]
             fact = math.factorial(n)
@@ -169,36 +175,6 @@ class _QTable:
                 col.append(c)
             self.int_cols.append([ints[n]])
             self.rows.append(row)
-
-    def f_power(self, j: int, length: int) -> list[int]:
-        """G_j with at least `length` coefficients, extending G_1..G_j in place.
-
-        G_j[i] = j sum_t sigma(t) (i-1)!/(i-t)! G_{j-1}[i-t], from
-        q d/dq f^j = j f^(j-1) sum_t sigma(t) q^t.  G_p is never longer
-        than G_{p-1}, so a long enough G_j means nothing is to be done.
-        """
-        g = self.f_powers
-        if j < len(g) and len(g[j]) >= length:
-            return g[j]
-        g[0] += [0] * (length - len(g[0]))
-        sigma = sigma_sieve(length)
-        for p in range(1, j + 1):
-            if p == len(g):
-                g.append([])
-            prev, cur = g[p - 1], g[p]
-            for i in range(len(cur), length):
-                cur.append(p * sum(map(mul, _falling_sigma(i, sigma), reversed(prev[:i]))))
-        return g[j]
-
-
-def _falling_sigma(n: int, sigma: list[int]) -> list[int]:
-    """sigma(t) (n-1)!/(n-t)! for t = 1..n, the weights of the R_n and G_j recurrences."""
-    w = []
-    ff = 1
-    for t in range(1, n + 1):
-        w.append(sigma[t] * ff)
-        ff *= n - t
-    return w
 
 
 _ladder = _QTable()
@@ -234,16 +210,25 @@ def coefficient_series(k: int, n_max: int) -> RationalSeries:
 def a_cross_recursion(a: int, b: int, n: int) -> Fraction:
     """A_{n,b} = (a!/b!) sum_i A_{n-i,a} c_{i,b-a}, with c_{i,j} = [q^i] f^j.
 
-    Computed in integers from column a of the table and G_{b-a}:
-    A_{n,b} = a! sum_i C(n,i) R_{n-i}[a] G_{b-a}[i] / (b! n!).
+    Computed in integers from column a of the table and row j = b - a of the
+    power ladder, rows[j][i] = c_{i,j} denom^j:
+    A_{n,b} = a! sum_i perm(n, i) R_{n-i}[a] rows[j][i] / (b! n! denom^j).
     """
     if not (0 <= a < b <= n):
         raise ValueError("requires 0 <= a < b <= n")
     _ladder.ensure(n)
+    j = b - a
+    if j > _ladder.powers.k:
+        _ladder.powers = _PowerRow(j, "sigma-minus-one")
+    powers = _ladder.powers
+    powers.extend(n - a)
     col_a = _ladder.int_cols[a]  # col_a[m - a] = R_m[a]
-    g = _ladder.f_power(b - a, n - a + 1)
-    acc = sum(math.comb(n, i) * col_a[n - i - a] * g[i] for i in range(b - a, n - a + 1))
-    return Fraction(math.factorial(a) * acc, math.factorial(b) * math.factorial(n))
+    c = powers.rows[j]
+    acc = 0  # sum_{t >= i} perm(n, t) / perm(n, i) R_{n-t}[a] rows[j][t], by Horner's rule
+    for i in range(n - a, j - 1, -1):
+        acc = acc * (n - i) + col_a[n - i - a] * c[i]
+    num = math.factorial(a) * math.perm(n, j) * acc
+    return Fraction(num, math.factorial(b) * math.factorial(n) * powers.denom**j)
 
 
 _METHODS = {

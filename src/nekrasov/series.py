@@ -1,15 +1,19 @@
 """Exact rational truncated power series and their certified float mirror.
 
 Exact side: `RationalSeries` holds Fraction coefficients of q^0..q^N and all
-arithmetic is exact (no rounding anywhere).  Float side: `BallSeries` is a
-midpoint-radius enclosure used for large scans; it is a separate type and is
-never substituted for the exact one implicitly.
+arithmetic is exact (no rounding anywhere).  `_PowerRow`, the q d/dq ladder
+over integers scaled by denom^j, is the one exact kernel for powers of a
+rule: analysis, `darcais.a_cross_recursion` and `verify --suite identities`
+read f^k from it; `series_power` is its Fraction reference.  Float side:
+`BallSeries` is a midpoint-radius enclosure used for large scans; it is a
+separate type and is never substituted for the exact one implicitly.
 """
 
 from __future__ import annotations
 
 import math
 from fractions import Fraction
+from operator import mul
 from typing import Callable, Sequence
 
 import numpy as np
@@ -179,6 +183,90 @@ def custom_series(rule: str, n_max: int) -> RationalSeries:
 
 
 # ---------------------------------------------------------------------------
+# Exact power rows, a q d/dq ladder extended in place
+# ---------------------------------------------------------------------------
+
+def _scaled_rule_base(rule: str, n_max: int) -> tuple[list[int], int]:
+    """A registered series as (numerators, denominator): the lcm of its denominators."""
+    coeffs = custom_series(rule, n_max).coeffs
+    denom = math.lcm(*(c.denominator for c in coeffs))
+    return [c.numerator * (denom // c.denominator) for c in coeffs], denom
+
+
+class _PowerRow:
+    """The powers f^0..f^k of a registered rule f, as integers over denom^j.
+
+    rows[j][n] = [q^n] f^j denom^j, where denom is the lcm of f's
+    denominators up to the current order; base = rows[1] and nums = rows[k].
+    Applying q d/dq to f^j gives q (f^j)' = j f^(j-1) q f', that is
+    n c_{n,j} = j sum_{i=1..n} i f_i c_{n-i,j-1}, the same step that yields
+    the Heim-Neuhauser recurrence for Q_n (darcais).  Scaled, with
+    g = gcd_i(i base_i) and e_i = i base_i / g,
+        rows[j][n] = j g sum_{i=1..n} e_i rows[j-1][n-i] / n,   rows[j][0] = base_0^j,
+    a division that is exact because the left side is an integer.  For
+    sigma_{-1}, i f_i = sigma(i), so g = denom and e_i = sigma(i): each step
+    multiplies big entries by small integers, where J.C.P. Miller's power
+    recurrence needs big-by-big products.  Row j is built from row j - 1,
+    so the ladder keeps every row up to k.
+
+    `extend` rescales the stored rows by (denom'/denom)^j when denom grows,
+    then only appends.  A build that is never extended again passes
+    `free=True`: row j - 1 is dropped once row j is complete (base stays),
+    and a later `extend` raises ValueError.
+    """
+
+    def __init__(self, k: int, rule: str):
+        self.k = k
+        self.rule = rule
+        self.base: list[int] = []
+        self.denom = 1
+        self.rows: list[list[int] | None] = [[] for _ in range(k + 1)]
+        self.freed = False
+
+    @property
+    def nums(self) -> list[int]:
+        return self.rows[self.k]
+
+    def extend(self, order: int, free: bool = False) -> None:
+        """Make rows[0..k][0..order] available."""
+        if self.freed:
+            raise ValueError("this power row freed its ladder and cannot be extended")
+        rows = self.rows
+        if order < len(rows[self.k]):
+            return
+        old = len(self.base)
+        if order >= old:
+            base, denom = _scaled_rule_base(self.rule, order)
+            scale, rem = divmod(denom, self.denom)
+            if rem or [c * scale for c in self.base] != base[:old]:
+                raise ValueError(f"series rule {self.rule!r} changed its coefficients below q^{old}")
+            if scale != 1:  # every stored row moves to the new denom before denom changes
+                factors = [scale**j for j in range(2, self.k + 1)]
+                rows[2:] = [[c * f for c in row] for row, f in zip(rows[2:], factors)]
+            self.base, self.denom = base, denom
+        base = self.base
+        rows[0] += [int(n == 0) for n in range(len(rows[0]), order + 1)]
+        if self.k >= 1:
+            rows[1] = base
+        weights = [i * c for i, c in enumerate(base[: order + 1])]
+        g = math.gcd(*weights) or 1
+        rev = [w // g for w in reversed(weights)]  # rev[order - i] = e_i
+        for j in range(2, self.k + 1):
+            row, prev = rows[j], rows[j - 1]
+            if not row:
+                row.append(base[0] ** j)
+            jg = j * g
+            for n in range(len(row), order + 1):
+                c, rem = divmod(jg * sum(map(mul, rev[order - n : order], prev)), n)
+                assert rem == 0, "the q d/dq step divides exactly"
+                row.append(c)
+            if free and j > 2:
+                rows[j - 1] = None
+        if free:
+            self.freed = True
+
+
+# ---------------------------------------------------------------------------
 # Certified scalar bounds (exact rational enclosures of transcendentals)
 # ---------------------------------------------------------------------------
 
@@ -338,7 +426,9 @@ class BallSeries:
                 # route through float64: at most two roundings, which holds
                 # only where float64 keeps full precision
                 if c and not _F64_TINY <= c <= _F64_MAX:
-                    digits = len(str(num)) - len(str(den))  # the power of ten, to within one
+                    # the nearest power of ten; log10 of an int reads its bits, so a
+                    # coefficient too long for str() still gets this message
+                    digits = round(math.log10(num) - math.log10(den))
                     raise ValueError(
                         f"series coefficient {n} = about 10^{digits} is outside the "
                         "normal float64 range, so it cannot be enclosed"

@@ -11,7 +11,6 @@ from hypothesis import strategies as st
 from nekrasov import analysis
 from nekrasov.analysis import (
     SCAN_LIMIT,
-    _PowerRow,
     coefficient_c,
     hardy_ramanujan_ratio,
     is_log_concave,
@@ -33,6 +32,8 @@ from nekrasov.series import (
     BallSeries,
     RationalSeries,
     _ld_available,
+    _PowerRow,
+    _scaled_rule_base,
     custom_series,
     f_series,
     register_series_rule,
@@ -402,7 +403,7 @@ class _MillerRow:
         old = len(self.nums)
         if order < old:
             return
-        base, denom = analysis._scaled_rule_base(self.rule, order)
+        base, denom = _scaled_rule_base(self.rule, order)
         scale, rem = divmod(denom, self.denom)
         assert rem == 0 and [c * scale for c in self.base] == base[:old]
         k = self.k

@@ -7,7 +7,7 @@ from fractions import Fraction
 
 import pytest
 
-from nekrasov import analysis, stirling
+from nekrasov import analysis, darcais, series, stirling
 from nekrasov.cli import EXIT_ABORTED, EXIT_OK, EXIT_VIOLATION, _checks_stirling, main, parse_range
 from nekrasov.partitions import enumerate_partitions, multiplicities
 
@@ -172,6 +172,24 @@ def test_verify_identities(capsys):
     assert any("four-way-agreement" in line for line in lines)
 
 
+@pytest.mark.parametrize("row, failing", [
+    (6, ["power-consistency"]),  # row 6 is only compared with products of lower rows
+    (3, ["generating-identity-per-k", "power-consistency"]),
+])
+def test_verify_identities_catches_a_wrong_ladder_coefficient(capsys, monkeypatch, row, failing):
+    class Perturbed(series._PowerRow):
+        def extend(self, order, free=False):
+            super().extend(order, free)
+            self.rows[row][order // 2] += 1
+
+    monkeypatch.setattr(series, "_PowerRow", Perturbed)
+    code, out, _ = run(capsys, "verify", "--suite", "identities", "--n-max", "20")
+    assert code == EXIT_VIOLATION
+    assert [line for line in out.strip().splitlines() if line.endswith(",fail")] == [
+        f"identities,{check},fail" for check in failing
+    ]
+
+
 def test_verify_stirling(capsys):
     code, out, _ = run(capsys, "verify", "--suite", "stirling", "--n-max", "15")
     assert code == EXIT_OK
@@ -295,6 +313,34 @@ def test_bad_stirling_size_exits_2(capsys, argv):
     assert code == EXIT_ABORTED
     assert out == ""
     assert "Stirling" in err and "n_max=" in err
+
+
+@pytest.mark.parametrize("suite", ["identities", "logconcave", "stirling", "all"])
+def test_negative_verify_size_exits_2(capsys, suite):
+    code, out, err = run(capsys, "verify", "--suite", suite, "--n-max", "-3")
+    assert code == EXIT_ABORTED
+    assert out == ""
+    assert "n_max=-3 is negative" in err
+
+
+@pytest.mark.parametrize("argv", [
+    ("qpoly", "--n", "5000"),
+    ("qpoly", "--n", f"0..{darcais.TABLE_LIMIT + 1}", "--method", "all"),
+    ("verify", "--suite", "identities", "--n-max", str(darcais.TABLE_LIMIT + 1)),
+    ("verify", "--suite", "logconcave", "--n-max", str(darcais.TABLE_LIMIT + 1)),
+])
+def test_q_table_size_above_limit_exits_2(capsys, monkeypatch, argv):
+    # refused before any method or suite starts work
+    def ran(*args):
+        raise AssertionError("the size check came too late")
+
+    for name in ("q_polynomial", "q_table_via_recursion", "coefficient_series"):
+        monkeypatch.setattr(darcais, name, ran)
+    monkeypatch.setattr(series, "partition_series", ran)
+    code, out, err = run(capsys, *argv)
+    assert code == EXIT_ABORTED
+    assert out == ""
+    assert f"above the Q table limit {darcais.TABLE_LIMIT}" in err
 
 
 def test_invalid_precision_cap(capsys):

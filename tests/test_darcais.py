@@ -2,11 +2,14 @@
 
 import json
 import math
+import random
 from fractions import Fraction
 
 import pytest
 
+from nekrasov import darcais
 from nekrasov.darcais import (
+    TABLE_LIMIT,
     EnumerationLimitError,
     QPolynomial,
     _poly_sum_over_partitions,
@@ -259,26 +262,40 @@ def test_columns_share_the_row_values():
     assert coefficient_series(5, 2).coeffs == (0, 0, 0)
 
 
-def test_table_growth_order_does_not_matter():
+def test_table_growth_order_does_not_matter(monkeypatch):
     grown = _QTable()
     for n in (30, 10, 90, 50):
         grown.ensure(n)
-    grown.f_power(2, 10)
-    grown.f_power(4, 40)
-    grown.f_power(1, 25)
     built = _QTable()
     built.ensure(90)
-    built.f_power(4, 40)
     assert grown.n_max == built.n_max == 90
     assert grown.rows == built.rows
     assert grown.int_cols == built.int_cols
-    assert grown.f_powers == built.f_powers
-    f = f_series(39)
-    for j in range(5):
-        power = series_power(f, j)
-        assert [Fraction(g, math.factorial(i)) for i, g in enumerate(built.f_powers[j])] == list(
-            power.coeffs
-        )
+    # the power ladder grows longer and is replaced by taller ones in any order
+    requests = [(0, 2, 12), (3, 7, 40), (1, 2, 25), (10, 11, 90), (0, 6, 60),
+                (5, 9, 30), (2, 3, 90), (20, 21, 45), (0, 1, 1), (30, 34, 80)]
+    random.Random(5).shuffle(requests)
+    monkeypatch.setattr(darcais, "_ladder", grown)
+    answers = [a_cross_recursion(a, b, n) for a, b, n in requests]
+    assert grown.powers.k == 6
+    for (a, b, n), value in zip(requests, answers):
+        monkeypatch.setattr(darcais, "_ladder", _QTable())
+        assert a_cross_recursion(a, b, n) == value == q_via_recursion(n).coeffs[b]
+
+
+def test_table_limit_refused_before_allocating():
+    table = _QTable()
+    with pytest.raises(ValueError, match=f"n={TABLE_LIMIT + 1} is above the Q table limit {TABLE_LIMIT}"):
+        table.ensure(TABLE_LIMIT + 1)
+    assert table.n_max == -1 and table.int_cols == []
+    for call in (
+        lambda: q_via_recursion(5000),
+        lambda: q_table_via_recursion(TABLE_LIMIT + 1),
+        lambda: coefficient_series(2, TABLE_LIMIT + 1),
+        lambda: a_cross_recursion(0, 1, TABLE_LIMIT + 1),
+    ):
+        with pytest.raises(ValueError, match=f"Q table limit {TABLE_LIMIT}"):
+            call()
 
 
 # ---------------------------------------------------------------------------

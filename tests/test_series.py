@@ -4,17 +4,20 @@ import math
 import re
 from fractions import Fraction
 from itertools import product
+from pathlib import Path
 
 import numpy as np
 import pytest
 
-from nekrasov.analysis import SCAN_LIMIT, _PowerRow
+import nekrasov
+from nekrasov.analysis import SCAN_LIMIT, scan_conjecture_custom
 from nekrasov.partitions import partition_count
 from nekrasov.series import (
     _BLOCK,
     BallSeries,
     RationalSeries,
     _convolve_prefix,
+    _PowerRow,
     _sum_terms,
     custom_series,
     divisor_sigma,
@@ -249,6 +252,26 @@ def test_ball_series_from_fractions_refuses_outside_normal_range(value, shown):
     for dtype in (np.float64, np.longdouble):
         with pytest.raises(ValueError, match=re.escape(f"coefficient 2 = {shown} is ")):
             BallSeries.from_fractions([Fraction(0), Fraction(1), value], dtype)
+
+
+def test_scan_refuses_a_rule_too_long_for_str():
+    # 10^5000 has more digits than int -> str converts by default
+    register_series_rule(
+        "ten-to-5000-test", lambda n: RationalSeries([0, 1, Fraction(10**5000)] + [1] * (n - 2))
+    )
+    with pytest.raises(ValueError, match=re.escape("coefficient 2 = about 10^5000 is outside")):
+        scan_conjecture_custom("ten-to-5000-test", 2, 40, "adaptive-float")
+
+
+def test_only_series_names_the_fraction_power_kernels():
+    # f^k has one exact kernel, _PowerRow; the Fraction products stay its reference
+    names = re.compile(r"\b(series_multiply|series_power|f_powers?)\b")
+    found = {
+        path.name: names.findall(path.read_text())
+        for path in Path(nekrasov.__file__).parent.glob("*.py")
+        if path.name != "series.py"
+    }
+    assert {name: hits for name, hits in found.items() if hits} == {}
 
 
 def test_ball_series_longdouble_tighter():
