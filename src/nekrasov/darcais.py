@@ -38,6 +38,7 @@ from .series import RationalSeries, _PowerRow, sigma_sieve
 
 DEFAULT_ENUM_LIMIT = 32
 TABLE_LIMIT = 500  # the largest n of the recurrence table: about 125 MB peak RSS at the top
+SHARED_POWERS = 3  # a_cross_recursion keeps f^1..f^3 between calls; taller powers are built per call
 ENUM_LIMIT_ENV = "NEKRASOV_ENUM_LIMIT"
 
 
@@ -137,17 +138,16 @@ class _QTable:
     sigma(j) Q_{n-j} as R_n = (z+1) sum_j sigma(j) (n-1)!/(n-j)! R_{n-j},
     all in integers.  Appending row n also stores its Fraction row
     A[n][.] = R_n / n!, so warm reads return stored values; a column A[.][k]
-    is read off the rows.  The powers of f that `a_cross_recursion` needs
-    come from one sigma_{-1} ladder, `series._PowerRow` (the package's one
-    exact kernel for them), extended in place and replaced by a taller one
-    when a higher power is asked for.  The tables are append-only and
-    unlocked: the package runs single-threaded (scan --jobs uses processes).
+    is read off the rows.  `a_cross_recursion` reads f^1..f^SHARED_POWERS
+    from one sigma_{-1} ladder, `series._PowerRow` (the package's one exact
+    kernel for powers of f), extended in place.  The tables are append-only
+    and unlocked: the package runs single-threaded (scan --jobs uses processes).
     """
 
     def __init__(self):
         self.int_cols: list[list[int]] = []  # int_cols[k][m - k] = R_m[k] = m! A[m][k]
         self.rows: list[tuple[Fraction, ...]] = []  # rows[n][k] = A[n][k]
-        self.powers = _PowerRow(1, "sigma-minus-one")  # never freed
+        self.powers = _PowerRow(SHARED_POWERS, "sigma-minus-one")  # never freed
 
     @property
     def n_max(self) -> int:
@@ -211,17 +211,17 @@ def a_cross_recursion(a: int, b: int, n: int) -> Fraction:
     """A_{n,b} = (a!/b!) sum_i A_{n-i,a} c_{i,b-a}, with c_{i,j} = [q^i] f^j.
 
     Computed in integers from column a of the table and row j = b - a of the
-    power ladder, rows[j][i] = c_{i,j} denom^j:
+    power ladder, rows[j][i] = c_{i,j} denom^j (about j log2(denom) bits, so a
+    row above SHARED_POWERS is built for this call alone, two rows at a time):
     A_{n,b} = a! sum_i perm(n, i) R_{n-i}[a] rows[j][i] / (b! n! denom^j).
     """
     if not (0 <= a < b <= n):
         raise ValueError("requires 0 <= a < b <= n")
     _ladder.ensure(n)
     j = b - a
-    if j > _ladder.powers.k:
-        _ladder.powers = _PowerRow(j, "sigma-minus-one")
-    powers = _ladder.powers
-    powers.extend(n - a)
+    shared = j <= SHARED_POWERS
+    powers = _ladder.powers if shared else _PowerRow(j, "sigma-minus-one")
+    powers.extend(n - a, free=not shared)
     col_a = _ladder.int_cols[a]  # col_a[m - a] = R_m[a]
     c = powers.rows[j]
     acc = 0  # sum_{t >= i} perm(n, t) / perm(n, i) R_{n-t}[a] rows[j][t], by Horner's rule

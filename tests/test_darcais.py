@@ -9,6 +9,7 @@ import pytest
 
 from nekrasov import darcais
 from nekrasov.darcais import (
+    SHARED_POWERS,
     TABLE_LIMIT,
     EnumerationLimitError,
     QPolynomial,
@@ -271,16 +272,28 @@ def test_table_growth_order_does_not_matter(monkeypatch):
     assert grown.n_max == built.n_max == 90
     assert grown.rows == built.rows
     assert grown.int_cols == built.int_cols
-    # the power ladder grows longer and is replaced by taller ones in any order
+    # the shared power ladder grows longer in any order; taller powers are built per call
     requests = [(0, 2, 12), (3, 7, 40), (1, 2, 25), (10, 11, 90), (0, 6, 60),
                 (5, 9, 30), (2, 3, 90), (20, 21, 45), (0, 1, 1), (30, 34, 80)]
     random.Random(5).shuffle(requests)
     monkeypatch.setattr(darcais, "_ladder", grown)
     answers = [a_cross_recursion(a, b, n) for a, b, n in requests]
-    assert grown.powers.k == 6
+    assert grown.powers.k == SHARED_POWERS
     for (a, b, n), value in zip(requests, answers):
         monkeypatch.setattr(darcais, "_ladder", _QTable())
         assert a_cross_recursion(a, b, n) == value == q_via_recursion(n).coeffs[b]
+
+
+def test_tall_request_leaves_the_shared_ladder_alone(monkeypatch):
+    table = _QTable()
+    monkeypatch.setattr(darcais, "_ladder", table)
+    assert a_cross_recursion(0, 40, 40) == q_via_recursion(40).coeffs[40]
+    assert a_cross_recursion(2, 3 + SHARED_POWERS, 30) == q_via_recursion(30).coeffs[3 + SHARED_POWERS]
+    assert table.powers.k == SHARED_POWERS and table.powers.nums == []
+    # a later long request with a low power extends only the shared rows
+    assert a_cross_recursion(0, 1, 90) == q_via_recursion(90).coeffs[1]
+    assert table.powers.k == SHARED_POWERS and len(table.powers.nums) == 91
+    assert not table.powers.freed
 
 
 def test_table_limit_refused_before_allocating():
