@@ -13,13 +13,11 @@ import concurrent.futures
 import json
 import math
 import sys
-from dataclasses import dataclass
 from fractions import Fraction
 from operator import mul
 from typing import Callable, Sequence
 
 from . import analysis, darcais, series, stirling
-from .darcais import EnumerationLimitError
 from .partitions import enumerate_partitions, multiplicities, partition_count
 
 EXIT_OK = 0
@@ -29,55 +27,6 @@ EXIT_ABORTED = 2
 FORMATS = ("csv", "json", "tsv")
 METHOD_CHOICES = darcais.method_names() + ["all"]
 SUITES = ("identities", "logconcave", "stirling", "all")
-
-
-@dataclass(frozen=True)
-class RunConfig:
-    """Validated inputs of one CLI invocation."""
-
-    command: str
-    fmt: str = "tsv"
-    out: str | None = None
-    mode: str = "exact"
-    precision_cap: int = analysis.DEFAULT_PRECISION_CAP
-    exact_fallback: int = analysis.DEFAULT_EXACT_FALLBACK
-    jobs: int = 1
-    ns: tuple[int, ...] = ()
-    ks: tuple[int, ...] = ()
-    method: str = "recursion"
-    n_max: int | None = None
-    suite: str = "all"
-    rule: str = "sigma-minus-one"
-    order: int = 10
-
-    def __post_init__(self):
-        if self.fmt not in FORMATS:
-            raise ValueError(f"unknown format {self.fmt!r}")
-        if self.precision_cap < 53:
-            raise ValueError("precision cap must be >= 53 bits")
-        if self.mode not in ("exact", "adaptive-float"):
-            raise ValueError(f"unknown mode {self.mode!r}")
-        if self.jobs < 1:
-            raise ValueError("jobs must be >= 1")
-        if self.command == "qpoly":
-            if not self.ns:
-                raise ValueError("empty n range")
-            if self.method not in METHOD_CHOICES:
-                raise ValueError(f"unknown method {self.method!r}")
-            if self.method in ("recursion", "all") and max(self.ns) > darcais.TABLE_LIMIT:
-                raise ValueError(f"n={max(self.ns)} is above the Q table limit {darcais.TABLE_LIMIT}")
-        if self.command == "scan" and not self.ks:
-            raise ValueError("empty k range")
-        if self.command == "verify":
-            n_max = self.n_max or 0
-            if self.suite not in SUITES:
-                raise ValueError(f"unknown suite {self.suite!r}")
-            if n_max < 0:
-                raise ValueError(f"n_max={n_max} is negative")
-            if self.suite in ("stirling", "all") and n_max > stirling.TABLE_LIMIT:
-                raise ValueError(f"n_max={n_max} is above the Stirling limit {stirling.TABLE_LIMIT}")
-            if self.suite != "stirling" and n_max > darcais.TABLE_LIMIT:
-                raise ValueError(f"n_max={n_max} is above the Q table limit {darcais.TABLE_LIMIT}")
 
 
 def parse_range(text: str) -> tuple[int, ...]:
@@ -107,40 +56,43 @@ def _emit(text: str, out: str | None) -> None:
 # qpoly
 # ---------------------------------------------------------------------------
 
-def cmd_qpoly(config: RunConfig) -> int:
-    methods = darcais.method_names() if config.method == "all" else [config.method]
+def cmd_qpoly(args: argparse.Namespace) -> int:
+    ns = parse_range(args.n)
+    if args.method in ("recursion", "all") and max(ns) > darcais.TABLE_LIMIT:
+        raise ValueError(f"n={max(ns)} is above the Q table limit {darcais.TABLE_LIMIT}")
+    methods = darcais.method_names() if args.method == "all" else [args.method]
     blocks: dict[str, list[darcais.QPolynomial]] = {}
     for method in methods:
-        blocks[method] = [darcais.q_polynomial(n, method) for n in config.ns]
+        blocks[method] = [darcais.q_polynomial(n, method) for n in ns]
     agree = all(
         blocks[m][i].coeffs == blocks[methods[0]][i].coeffs
         for m in methods
-        for i in range(len(config.ns))
+        for i in range(len(ns))
     )
 
-    if config.fmt == "json":
+    if args.format == "json":
         rows = {
             m: [{"n": p.n, "coeffs": [str(c) for c in p.coeffs]} for p in polys]
             for m, polys in blocks.items()
         }
-        payload = {"methods": rows, "agree": agree} if config.method == "all" else rows[methods[0]]
-        _emit(json.dumps(payload, separators=(",", ":")), config.out)
-    elif config.fmt == "csv":
+        payload = {"methods": rows, "agree": agree} if args.method == "all" else rows[methods[0]]
+        _emit(json.dumps(payload, separators=(",", ":")), args.out)
+    elif args.format == "csv":
         lines = ["method,n,k,coeff"]
         for m in methods:
             for p in blocks[m]:
                 lines.extend(f"{m},{p.n},{k},{c}" for k, c in enumerate(p.coeffs))
-        _emit("\n".join(lines), config.out)
+        _emit("\n".join(lines), args.out)
     else:
         lines = []
         for m in methods:
-            if config.method == "all":
+            if args.method == "all":
                 lines.append(f"# method={m}")
             for p in blocks[m]:
                 lines.extend(p.dump_lines())
-        if config.method == "all":
+        if args.method == "all":
             lines.append(f"# verdict {'agree' if agree else 'disagree'}")
-        _emit("\n".join(lines), config.out)
+        _emit("\n".join(lines), args.out)
 
     if not agree:
         print("qpoly: methods disagree", file=sys.stderr)
@@ -163,13 +115,15 @@ def _scan_one(args: tuple) -> analysis.ScanReport:
     )
 
 
-def cmd_scan(config: RunConfig) -> int:
+def cmd_scan(args: argparse.Namespace) -> int:
+    if args.jobs < 1:
+        raise ValueError("jobs must be >= 1")
     jobs = [
-        (k, config.n_max, config.mode, config.exact_fallback, config.precision_cap, config.rule)
-        for k in sorted(config.ks)
+        (k, args.n_max, args.mode, args.exact_fallback, args.precision_cap, args.rule)
+        for k in parse_range(args.k)
     ]
-    if config.jobs > 1 and len(jobs) > 1:
-        with concurrent.futures.ProcessPoolExecutor(max_workers=config.jobs) as pool:
+    if args.jobs > 1 and len(jobs) > 1:
+        with concurrent.futures.ProcessPoolExecutor(max_workers=args.jobs) as pool:
             reports = list(pool.map(_scan_one, jobs))
     else:
         reports = []
@@ -177,21 +131,20 @@ def cmd_scan(config: RunConfig) -> int:
             reports.append(_scan_one(job))
             print(f"scan: k={job[0]} done in {int(reports[-1].elapsed * 1000)} ms",
                   file=sys.stderr)
-    reports.sort(key=lambda r: r.k)
     for r in reports:
         if r.certified and r.n0 is None:
             print(f"scan: k={r.k} has no violation below n_max={r.n_max}", file=sys.stderr)
 
-    if config.fmt == "json":
-        _emit(json.dumps([r.to_dict() for r in reports], separators=(",", ":")), config.out)
-    elif config.fmt == "tsv":
+    if args.format == "json":
+        _emit(json.dumps([r.to_dict() for r in reports], separators=(",", ":")), args.out)
+    elif args.format == "tsv":
         lines = [analysis.SCAN_CSV_HEADER.replace(",", "\t")]
         lines.extend(r.csv_row().replace(",", "\t") for r in reports)
-        _emit("\n".join(lines), config.out)
+        _emit("\n".join(lines), args.out)
     else:
         lines = [analysis.SCAN_CSV_HEADER]
         lines.extend(r.csv_row() for r in reports)
-        _emit("\n".join(lines), config.out)
+        _emit("\n".join(lines), args.out)
 
     if any(not r.certified for r in reports):
         print("scan: uncertified results present", file=sys.stderr)
@@ -335,29 +288,36 @@ _SUITE_BUILDERS: dict[str, tuple[Callable[[int], list[tuple[str, bool]]], int]] 
 }
 
 
-def cmd_verify(config: RunConfig) -> int:
-    suites = list(_SUITE_BUILDERS) if config.suite == "all" else [config.suite]
+def cmd_verify(args: argparse.Namespace) -> int:
+    n_max = args.n_max or 0
+    if n_max < 0:
+        raise ValueError(f"n_max={n_max} is negative")
+    if args.suite in ("stirling", "all") and n_max > stirling.TABLE_LIMIT:
+        raise ValueError(f"n_max={n_max} is above the Stirling limit {stirling.TABLE_LIMIT}")
+    if args.suite != "stirling" and n_max > darcais.TABLE_LIMIT:
+        raise ValueError(f"n_max={n_max} is above the Q table limit {darcais.TABLE_LIMIT}")
+    suites = list(_SUITE_BUILDERS) if args.suite == "all" else [args.suite]
     results: list[tuple[str, str, bool]] = []
     for name in suites:
         builder, default_knob = _SUITE_BUILDERS[name]
-        knob = config.n_max if config.n_max is not None else default_knob
+        knob = args.n_max if args.n_max is not None else default_knob
         for check, ok in builder(knob):
             results.append((name, check, ok))
             print(f"verify: {name}/{check}: {'pass' if ok else 'FAIL'}", file=sys.stderr)
 
-    if config.fmt == "json":
+    if args.format == "json":
         payload = [
             {"suite": s, "check": c, "status": "pass" if ok else "fail"}
             for s, c, ok in results
         ]
-        _emit(json.dumps(payload, separators=(",", ":")), config.out)
+        _emit(json.dumps(payload, separators=(",", ":")), args.out)
     else:
-        sep = "," if config.fmt == "csv" else "\t"
+        sep = "," if args.format == "csv" else "\t"
         lines = [sep.join(("suite", "check", "status"))]
         lines.extend(
             sep.join((s, c, "pass" if ok else "fail")) for s, c, ok in results
         )
-        _emit("\n".join(lines), config.out)
+        _emit("\n".join(lines), args.out)
     return EXIT_OK if all(ok for _, _, ok in results) else EXIT_VIOLATION
 
 
@@ -365,39 +325,39 @@ def cmd_verify(config: RunConfig) -> int:
 # dumps
 # ---------------------------------------------------------------------------
 
-def cmd_series_dump(config: RunConfig) -> int:
-    s = series.custom_series(config.rule, config.order)
-    if config.fmt == "json":
+def cmd_series_dump(args: argparse.Namespace) -> int:
+    s = series.custom_series(args.rule, args.order)
+    if args.format == "json":
         payload = {
-            "rule": config.rule,
+            "rule": args.rule,
             "order": s.order,
             "coeffs": [str(c) for c in s.coeffs],
         }
-        _emit(json.dumps(payload, separators=(",", ":")), config.out)
-    elif config.fmt == "csv":
+        _emit(json.dumps(payload, separators=(",", ":")), args.out)
+    elif args.format == "csv":
         lines = ["n,coeff"] + [f"{n},{c}" for n, c in enumerate(s.coeffs)]
-        _emit("\n".join(lines), config.out)
+        _emit("\n".join(lines), args.out)
     else:
-        _emit("\n".join(s.dump_lines()), config.out)
+        _emit("\n".join(s.dump_lines()), args.out)
     return EXIT_OK
 
 
-def cmd_stirling_dump(config: RunConfig) -> int:
-    n_max = config.n_max if config.n_max is not None else 10
+def cmd_stirling_dump(args: argparse.Namespace) -> int:
+    n_max = args.n_max
     table = stirling.StirlingTable(n_max)
-    if config.fmt == "json":
+    if args.format == "json":
         payload = {"n_max": n_max, "rows": [table.row(n) for n in range(n_max + 1)]}
-        _emit(json.dumps(payload, separators=(",", ":")), config.out)
-    elif config.fmt == "csv":
+        _emit(json.dumps(payload, separators=(",", ":")), args.out)
+    elif args.format == "csv":
         lines = ["n,m,value"]
         for n in range(n_max + 1):
             lines.extend(f"{n},{m},{v}" for m, v in enumerate(table.row(n)))
-        _emit("\n".join(lines), config.out)
+        _emit("\n".join(lines), args.out)
     else:
         lines = []
         for n in range(n_max + 1):
             lines.extend(f"{n} {m} {v}" for m, v in enumerate(table.row(n)))
-        _emit("\n".join(lines), config.out)
+        _emit("\n".join(lines), args.out)
     return EXIT_OK
 
 
@@ -408,9 +368,13 @@ def cmd_stirling_dump(config: RunConfig) -> int:
 def _add_shared(parser: argparse.ArgumentParser, default_fmt: str) -> None:
     parser.add_argument("--format", choices=FORMATS, default=default_fmt)
     parser.add_argument("--out", default=None, help="output path (default: stdout)")
+
+
+def _add_scan_flags(parser: argparse.ArgumentParser) -> None:
     parser.add_argument("--mode", choices=("exact", "adaptive-float"), default="exact")
     parser.add_argument("--precision-cap", type=int, default=analysis.DEFAULT_PRECISION_CAP,
-                        help="highest enclosure precision before exact fallback")
+                        help="53..63 runs the float64 enclosures only; any cap >= 64 adds "
+                             "the one 64-bit longdouble pass before the exact fallback")
     parser.add_argument("--exact-fallback", type=int, default=analysis.DEFAULT_EXACT_FALLBACK,
                         help="largest n recomputed exactly when enclosures overlap")
     parser.add_argument("--jobs", type=int, default=1)
@@ -436,6 +400,7 @@ def build_parser() -> argparse.ArgumentParser:
     sc.add_argument("--rule", default="sigma-minus-one",
                     choices=series.series_rule_names())
     _add_shared(sc, "csv")
+    _add_scan_flags(sc)
 
     vf = sub.add_parser("verify", help="run named invariant suites")
     vf.add_argument("--suite", choices=SUITES, default="all")
@@ -455,30 +420,7 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def config_from_args(ns: argparse.Namespace) -> RunConfig:
-    kwargs = dict(
-        command=ns.command,
-        fmt=ns.format,
-        out=ns.out,
-        mode=ns.mode,
-        precision_cap=ns.precision_cap,
-        exact_fallback=ns.exact_fallback,
-        jobs=ns.jobs,
-    )
-    if ns.command == "qpoly":
-        kwargs.update(ns=parse_range(ns.n), method=ns.method)
-    elif ns.command == "scan":
-        kwargs.update(ks=parse_range(ns.k), n_max=ns.n_max, rule=ns.rule)
-    elif ns.command == "verify":
-        kwargs.update(suite=ns.suite, n_max=ns.n_max)
-    elif ns.command == "series-dump":
-        kwargs.update(rule=ns.rule, order=ns.order)
-    elif ns.command == "stirling-dump":
-        kwargs.update(n_max=ns.n_max)
-    return RunConfig(**kwargs)
-
-
-_DISPATCH: dict[str, Callable[[RunConfig], int]] = {
+_DISPATCH: dict[str, Callable[[argparse.Namespace], int]] = {
     "qpoly": cmd_qpoly,
     "scan": cmd_scan,
     "verify": cmd_verify,
@@ -488,14 +430,9 @@ _DISPATCH: dict[str, Callable[[RunConfig], int]] = {
 
 
 def main(argv: Sequence[str] | None = None) -> int:
-    parser = build_parser()
-    ns = parser.parse_args(argv)
+    args = build_parser().parse_args(argv)
     try:
-        config = config_from_args(ns)
-        return _DISPATCH[config.command](config)
-    except EnumerationLimitError as exc:
-        print(f"nekrasov: {exc}", file=sys.stderr)
-        return EXIT_ABORTED
+        return _DISPATCH[args.command](args)
     except ValueError as exc:
         print(f"nekrasov: {exc}", file=sys.stderr)
         return EXIT_ABORTED

@@ -212,7 +212,8 @@ def a_cross_recursion(a: int, b: int, n: int) -> Fraction:
 
     Computed in integers from column a of the table and row j = b - a of the
     power ladder, rows[j][i] = c_{i,j} denom^j (about j log2(denom) bits, so a
-    row above SHARED_POWERS is built for this call alone, two rows at a time):
+    row above SHARED_POWERS is built for this call alone, two banded rows at
+    a time):
     A_{n,b} = a! sum_i perm(n, i) R_{n-i}[a] rows[j][i] / (b! n! denom^j).
     """
     if not (0 <= a < b <= n):
@@ -240,7 +241,7 @@ _METHODS = {
 
 
 def method_names() -> list[str]:
-    return ["recursion", "hooks", "trivial-hooks", "multiplicities"]
+    return list(_METHODS)
 
 
 def q_polynomial(n: int, method: str = "recursion") -> QPolynomial:

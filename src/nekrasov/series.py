@@ -174,6 +174,8 @@ def series_rule_names() -> list[str]:
 
 def custom_series(rule: str, n_max: int) -> RationalSeries:
     """Build a series from a registered generating rule."""
+    if n_max < 0:
+        raise ValueError("truncation order must be non-negative")
     try:
         builder = _SERIES_RULES[rule]
     except KeyError:
@@ -212,7 +214,10 @@ class _PowerRow:
     `extend` rescales the stored rows by (denom'/denom)^j when denom grows,
     then only appends.  A build that is never extended again passes
     `free=True`: row j - 1 is dropped once row j is complete (base stays),
-    and a later `extend` raises ValueError.
+    and a later `extend` raises ValueError.  Such a build reads only row k,
+    and row j at n reads row j - 1 only up to n - s, where s >= 1 is the
+    first i with e_i != 0 (s = 1 when every e_i is 0); so it stops row j at
+    order - (k - j) s, and a high power built to a low order costs little.
     """
 
     def __init__(self, k: int, rule: str):
@@ -251,12 +256,14 @@ class _PowerRow:
         weights = [i * c for i, c in enumerate(base[: order + 1])]
         g = math.gcd(*weights) or 1
         rev = [w // g for w in reversed(weights)]  # rev[order - i] = e_i
+        s = next((i for i, w in enumerate(weights) if w), 1)  # e_i = 0 for i < s
         for j in range(2, self.k + 1):
             row, prev = rows[j], rows[j - 1]
             if not row:
                 row.append(base[0] ** j)
             jg = j * g
-            for n in range(len(row), order + 1):
+            top = order - (self.k - j) * s if free else order  # the band row k needs
+            for n in range(len(row), top + 1):
                 c, rem = divmod(jg * sum(map(mul, rev[order - n : order], prev)), n)
                 assert rem == 0, "the q d/dq step divides exactly"
                 row.append(c)

@@ -8,7 +8,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from nekrasov import analysis
+from nekrasov import analysis, series
 from nekrasov.analysis import (
     SCAN_LIMIT,
     coefficient_c,
@@ -473,6 +473,34 @@ def test_ladder_freeing_build_equals_millers_row_and_refuses_to_grow(rule):
             row.extend(200)
         with pytest.raises(ValueError, match="freed"):
             row.extend(10)
+
+
+@pytest.mark.parametrize("rule", KERNEL_RULES)
+def test_freeing_build_equals_full_build(rule):
+    # a freeing build stops row j < k at order - (k - j) s; row k must not notice
+    for k in range(10):
+        for orders in ([0], [1], [64], [130], [64, 130]):
+            full, freeing = _PowerRow(k, rule), _PowerRow(k, rule)
+            for order in orders:
+                full.extend(order)
+            for order in orders[:-1]:
+                freeing.extend(order)
+            freeing.extend(orders[-1], free=True)
+            assert (freeing.nums, freeing.denom, freeing.base) == (
+                full.nums, full.denom, full.base
+            ), (k, orders)
+
+
+def test_freeing_build_computes_only_the_band(monkeypatch):
+    # sigma_{-1} has s = 1, so building f^40 to q^40 stops row j at q^j:
+    # row j costs 1 + 2 + ... + j products, where full rows cost 39 * 820
+    products = []
+    monkeypatch.setattr(series, "mul", lambda x, y: products.append(1) or x * y)
+    k = 40
+    row = _PowerRow(k, "sigma-minus-one")
+    row.extend(k, free=True)
+    assert row.nums[k] == row.denom**k  # c_{k,k} = 1
+    assert len(products) == sum(j * (j + 1) // 2 for j in range(2, k + 1))
 
 
 def test_exact_scan_frees_only_its_last_pass(monkeypatch):

@@ -343,6 +343,42 @@ def test_q_table_size_above_limit_exits_2(capsys, monkeypatch, argv):
     assert f"above the Q table limit {darcais.TABLE_LIMIT}" in err
 
 
+@pytest.mark.parametrize("flag", [
+    ("--mode", "exact"), ("--precision-cap", "64"), ("--exact-fallback", "10"), ("--jobs", "1"),
+], ids=lambda flag: flag[0])
+@pytest.mark.parametrize("argv", [
+    ("qpoly", "--n", "2"), ("verify", "--suite", "stirling"), ("series-dump",), ("stirling-dump",),
+], ids=lambda argv: argv[0])
+def test_scan_flags_are_refused_by_other_commands(capsys, argv, flag):
+    with pytest.raises(SystemExit) as exc:
+        main([*argv, *flag])
+    assert exc.value.code == EXIT_ABORTED
+    out, err = capsys.readouterr()
+    assert out == "" and f"unrecognized arguments: {flag[0]}" in err
+
+
+def test_scan_jobs_below_one_exits_2(capsys):
+    code, out, err = run(capsys, "scan", "--k", "2..3", "--jobs", "0")
+    assert code == EXIT_ABORTED
+    assert out == ""
+    assert "jobs must be >= 1" in err
+
+
+def test_invalid_precision_cap_with_jobs_exits_2(capsys):
+    code, out, err = run(capsys, "scan", "--k", "2..3", "--jobs", "2", "--precision-cap", "40")
+    assert code == EXIT_ABORTED
+    assert out == ""
+    assert "precision cap must be at least 53 bits" in err
+
+
+def test_series_dump_negative_order_exits_2(capsys):
+    for rule in series.series_rule_names():
+        code, out, err = run(capsys, "series-dump", "--rule", rule, "--order", "-5")
+        assert code == EXIT_ABORTED, rule
+        assert out == ""
+        assert "truncation order must be non-negative" in err
+
+
 def test_invalid_precision_cap(capsys):
     code, _, err = run(capsys, "scan", "--k", "2", "--precision-cap", "40")
     assert code == EXIT_ABORTED
