@@ -5,8 +5,10 @@ arithmetic is exact (no rounding anywhere).  `_PowerRow`, the q d/dq ladder
 over integers scaled by denom^j, is the one exact kernel for powers of a
 rule: analysis, `darcais.a_cross_recursion` and `verify --suite identities`
 read f^k from it; `series_power` is its Fraction reference.  Float side:
-`BallSeries` is a midpoint-radius enclosure used for large scans; it is a
-separate type and is never substituted for the exact one implicitly.
+`BallSeries` is a midpoint-radius enclosure used for large scans: float
+midpoints with one relative radius and one absolute underflow term per
+series, so a product costs one convolution.  It is a separate type and is
+never substituted for the exact one implicitly.
 """
 
 from __future__ import annotations
@@ -381,29 +383,70 @@ def _sum_terms(n: int) -> int:
     added to it (a square's diagonal and off-diagonal blocks).  So every
     product passes through at most min(n, B) + 2 ceil(n/B) roundings, whatever
     order each dot sums in (Higham, Accuracy and Stability of Numerical
-    Algorithms, ch. 3-4).  The 16 covers the sums that `BallSeries.multiply`
-    adds on top; the count never exceeds that of one plain sum of 2n + 16 terms.
+    Algorithms, ch. 3-4).  The 16 is headroom: `BallSeries.multiply` adds
+    nothing to the outputs it keeps and computes its radius exactly, so no
+    elementwise rounding spends it, and keeping it keeps the radii of the
+    earlier four-convolution kernel.  The count never exceeds that of one
+    plain sum of 2n + 16 terms.
     """
     return min(min(n, _BLOCK) + 2 * -(-n // _BLOCK), 2 * n) + 16
+
+
+def _exact(x) -> Fraction:
+    """A finite float or numpy float scalar as an exact rational."""
+    return Fraction(*x.as_integer_ratio())
+
+
+def _round_up(x: Fraction | float, dtype):
+    """A value of the dtype not below x >= 0; in the normal range within 2^-51 of x relatively.
+
+    x is cut to 53 bits upward, so float64 holds it exactly and ldexp only
+    scales; nextafter repairs a result that ldexp rounded in the subnormal
+    range.  Past the range of the dtype, and for x = inf, it is inf.
+    """
+    scalar = np.dtype(dtype).type
+    if x == 0 or x == math.inf:
+        return scalar(x)
+    e = x.numerator.bit_length() - x.denominator.bit_length() - 52
+    m = math.ceil(x / Fraction(2) ** e)  # in [2^51, 2^53]
+    with np.errstate(over="ignore"):
+        v = np.ldexp(scalar(float(m)), e)
+    while np.isfinite(v) and _exact(v) < x:
+        v = np.nextafter(v, scalar(np.inf))
+    return v
+
+
+def _may_underflow(a: np.ndarray, b: np.ndarray) -> bool:
+    """True when a product of two positive midpoints can round below the normal range.
+
+    The smallest such product is that of the two smallest positive
+    midpoints; a product below the least normal number rounds to at most
+    it, so comparing the rounded product with twice that number misses none.
+    """
+    tiny = np.finfo(a.dtype).tiny
+    a_min = np.min(a, initial=np.inf, where=a > 0)
+    b_min = a_min if b is a else np.min(b, initial=np.inf, where=b > 0)
+    return bool(a_min * b_min < 2 * tiny)
 
 
 class BallSeries:
     """Float enclosure of a series with non-negative coefficients.
 
-    Coefficient n lies in [mid[n] - rad[n], mid[n] + rad[n]].  `unit` is the
-    unit roundoff of the dtype (2^-53 for float64).  Multiplication keeps the
-    enclosure rigorous: products of interval bounds are expanded through the
-    convolution of absolute values, and a summation-error term gamma covers
-    the floating-point accumulation.  Gamma follows the block structure of
-    `_convolve_prefix` (`_sum_terms`), and holds for any summation order
-    numpy uses inside one block's dot product.
+    Coefficient n is exactly 0 below `lead`; from `lead` on it lies within
+    eps*mid[n] + tau of mid[n].  The relative radius `eps` and the absolute
+    term `tau` (underflow, and what a product inherits from it) are one
+    scalar each per series, exact or rounded upward, in the dtype of `mid`.
+    `unit` is the unit roundoff of the dtype (2^-53 for float64).  `rad` and
+    `bounds` build the per-coefficient radius from them.
     """
 
-    __slots__ = ("mid", "rad", "unit")
+    __slots__ = ("mid", "eps", "tau", "lead", "unit")
 
-    def __init__(self, mid: np.ndarray, rad: np.ndarray, unit: float):
+    def __init__(self, mid: np.ndarray, eps, tau, lead: int, unit: float):
         self.mid = mid
-        self.rad = rad
+        self.eps = eps
+        self.tau = tau
+        self.lead = lead
         self.unit = unit
 
     @property
@@ -418,9 +461,9 @@ class BallSeries:
     def from_fractions(cls, coeffs: Sequence[Fraction], dtype=np.float64) -> "BallSeries":
         unit = float(np.finfo(dtype).eps) / 2.0
         mid = np.zeros(len(coeffs), dtype=dtype)
-        rad = np.zeros(len(coeffs), dtype=dtype)
         exact_limit = 1 << np.finfo(dtype).nmant
         scalar = np.dtype(dtype).type
+        eps = 2 * unit  # one correctly-rounded division is within u|c| <= 2u mid[n]
         for n, c in enumerate(coeffs):
             if c < 0:
                 raise ValueError("BallSeries requires non-negative coefficients")
@@ -428,7 +471,6 @@ class BallSeries:
             if num < exact_limit and den < exact_limit:
                 # both operands exact in the dtype: one correctly-rounded division
                 mid[n] = scalar(num) / scalar(den)
-                rad[n] = mid[n] * scalar(2 * unit)
             else:
                 # route through float64: at most two roundings, which holds
                 # only where float64 keeps full precision
@@ -441,8 +483,9 @@ class BallSeries:
                         "normal float64 range, so it cannot be enclosed"
                     )
                 mid[n] = scalar(float(c))
-                rad[n] = mid[n] * scalar(2.0 ** -50)
-        return cls(mid, rad, unit)
+                eps = 2.0**-50
+        lead = next((n for n, c in enumerate(coeffs) if c), len(coeffs))
+        return cls(mid, scalar(eps), scalar(0.0), lead, unit)
 
     @classmethod
     def divisor_sum_series(cls, n_max: int, dtype=np.float64) -> "BallSeries":
@@ -456,53 +499,62 @@ class BallSeries:
         idx[0] = 1.0
         mid = sig / idx
         mid[0] = 0.0
-        rad = mid * scalar(2 * unit)
-        return cls(mid, rad, unit)
-
-    def _lead(self) -> int:
-        """Index of the first coefficient whose enclosure is not exactly {0}."""
-        nonzero = np.flatnonzero((self.mid != 0) | (self.rad != 0))
-        return int(nonzero[0]) if len(nonzero) else len(self.mid)
+        return cls(mid, scalar(2 * unit), scalar(0.0), min(1, n_max + 1), unit)
 
     def multiply(self, other: "BallSeries") -> "BallSeries":
         """Enclosure of the product, computing only the kept coefficients.
 
-        The radius is bounded through mid*mid, the two cross terms mid*rad and
-        rad*mid, and rad*rad.  A square (`x.multiply(x)`) computes the equal
-        cross terms once and doubles them, and forms each pair (i, j) of its
-        mid*mid and rad*rad once (see `_convolve_prefix`).  Both cross terms
-        are convolved mid first, so a product with an equal copy sums them
-        exactly as the square does.
+        One convolution, mid*mid (see `_convolve_prefix`; a square forms each
+        pair (i, j) once).  Let P[n] be the exact sum of the midpoint products
+        and M[n] its float value: |M - P| <= g P + U, with g the summation
+        error and U the underflow.  The balls add (eps_a + eps_b + eps_a eps_b) P
+        and an absolute part T, the sum over the pairs of
+        tau_b (1 + eps_a) mid_a[i] + tau_a (1 + eps_b) mid_b[j] + tau_a tau_b.
+        Since P <= (M + U)/(1 - g), the product has
+            eps = (eps_a + eps_b + eps_a eps_b + g) / (1 - g),
+            tau = T + (1 + eps) U,
+        computed exactly and rounded up.  An overflowed midpoint makes its
+        radius, or tau when its sum is needed, infinite, so it decides nothing.
         """
         if self.order != other.order:
             raise ValueError("truncation orders differ")
         if self.unit != other.unit:
             raise ValueError("mixed precisions")
         n = self.order + 1
-        scalar = self.mid.dtype.type
-        # gamma bounds the relative error of a sum in which every product
-        # passes through at most _sum_terms(n) roundings (one dot per block
-        # plus the block additions of _convolve_prefix; doubling is exact);
-        # doubled for headroom and to absorb the rounding of the radius
-        # expression itself.
-        lu = _sum_terms(n) * self.unit
-        g = scalar(2.0 * lu / (1.0 - lu))
-        # Underflow adds an absolute error of at most eta/2 per rounded
-        # product (eta the smallest subnormal).  Each of the four sums
-        # (mid*mid, two cross terms, rad*rad) has at most n products per
-        # coefficient; a doubled product carries at most eta and stands for
-        # two of them (at most ceil(n/2) per coefficient), so n*eta/2 per sum
-        # holds.  Adding g*mid and the final scaling gives (2n+2)*eta.
-        tiny = scalar(2 * n + 2) * np.finfo(self.mid.dtype).smallest_subnormal
+        dtype = self.mid.dtype
         mid = _convolve_prefix(self.mid, other.mid)
-        if other is self:
-            cross = scalar(2.0) * _convolve_prefix(self.mid, self.rad)
-        else:
-            cross = _convolve_prefix(self.mid, other.rad) + _convolve_prefix(other.mid, self.rad)
-        rad = (cross + _convolve_prefix(self.rad, other.rad) + g * mid + tiny) * (scalar(1.0) + 4 * g)
-        # below the sum of the leading indices every product term is an exact 0
-        rad[: self._lead() + other._lead()] = 0
-        return BallSeries(mid, rad, self.unit)
+        # g bounds the relative error of a sum in which every product passes
+        # through at most _sum_terms(n) roundings (one dot per block plus the
+        # block additions of _convolve_prefix; doubling is exact), doubled
+        # for headroom
+        lu = _sum_terms(n) * Fraction(self.unit)
+        g = 2 * lu / (1 - lu)
+        ea, eb = _exact(self.eps), _exact(other.eps)
+        eps = (ea + eb + ea * eb + g) / (1 - g)
+        tau = self._inherited_tau(other)
+        if _may_underflow(self.mid, other.mid):
+            # a product rounded into the subnormal range is off by at most eta/2
+            # (eta the smallest subnormal), and a doubled one stands for two;
+            # U = n eta covers the at most n products of one coefficient
+            tau += n * _exact(np.finfo(dtype).smallest_subnormal) * (1 + eps)
+        lead = min(self.lead + other.lead, n)  # below it every product term is an exact 0
+        return BallSeries(mid, _round_up(eps, dtype), _round_up(tau, dtype), lead, self.unit)
+
+    def _inherited_tau(self, other: "BallSeries") -> Fraction | float:
+        """T of `multiply`; inf when a tau or a midpoint sum it needs is not finite."""
+        if not (np.isfinite(self.tau) and np.isfinite(other.tau)):
+            return math.inf
+        ta, tb = _exact(self.tau), _exact(other.tau)
+        tau = len(self.mid) * ta * tb
+        for t, e, mid in ((tb, self.eps, self.mid), (ta, other.eps, other.mid)):
+            if t:
+                # in any order, a float sum of m non-negative terms is at least
+                # 1 - gamma_{m-1} >= 1 - 2mu times the exact sum
+                total = mid.sum()
+                if not np.isfinite(total):
+                    return math.inf
+                tau += t * (1 + _exact(e)) * _exact(total) / (1 - 2 * len(mid) * Fraction(self.unit))
+        return tau
 
     def power(self, k: int) -> "BallSeries":
         """Enclosure of self^k by binary powering: about log2(k) multiplies."""
@@ -515,10 +567,27 @@ class BallSeries:
                 acc = acc.multiply(self)
         return acc
 
+    @property
+    def rad(self) -> np.ndarray:
+        """Per-coefficient radii: eps*mid + tau rounded upward, 0 below `lead`.
+
+        With t >= tau + eta rounded up, (eps*mid + t)*(1 + 4u) has three
+        roundings; the relative ones are covered by the factor 1 + 4u, and the
+        absolute eta/2 a subnormal product may lose by the eta in t.
+        """
+        dtype = self.mid.dtype
+        scalar = dtype.type
+        eta = _exact(np.finfo(dtype).smallest_subnormal)
+        t = _round_up(_exact(self.tau) + eta, dtype) if np.isfinite(self.tau) else self.tau
+        rad = (self.eps * self.mid + t) * (scalar(1.0) + scalar(4 * self.unit))
+        rad[: self.lead] = 0
+        return rad
+
     def bounds(self) -> tuple[np.ndarray, np.ndarray]:
         """Per-coefficient lower/upper bounds, outward-rounded."""
         scalar = self.mid.dtype.type
+        rad = self.rad
         out = scalar(2.0) ** -max(self.precision_bits - 3, 1)
-        lo = np.maximum((self.mid - self.rad) * (scalar(1.0) - out), scalar(0.0))
-        hi = (self.mid + self.rad) * (scalar(1.0) + out)
+        lo = np.maximum((self.mid - rad) * (scalar(1.0) - out), scalar(0.0))
+        hi = (self.mid + rad) * (scalar(1.0) + out)
         return lo, hi

@@ -119,19 +119,32 @@ def sibuya_check(n: int, m: int) -> SibuyaResult:
     return SibuyaResult(holds, ratio, refined, outer)
 
 
+_decay_starts: dict[int, int] = {}
+
+
 def ratio_decay_start(n: int) -> int:
     """The least m >= 2 H_n + 1 (the ratio-decay precondition), as ceil(2 H_n) + 1 in integers."""
-    h = harmonic(n)
-    return -(-2 * h.numerator // h.denominator) + 1
+    start = _decay_starts.get(n)
+    if start is None:
+        h = harmonic(n)
+        start = _decay_starts[n] = -(-2 * h.numerator // h.denominator) + 1
+    return start
 
 
 def stirling_ratio_decay_check(n: int, m: int, t: int) -> bool:
-    """Verify [n+1 m+t+1] <= 2^-t [n+1 m+1] exactly, for m >= 2 H_n + 1."""
+    """Verify [n+1 m+t+1] <= 2^-t [n+1 m+1] exactly, for m >= 2 H_n + 1.
+
+    The start is computed once per n, and the two entries are read from
+    row n + 1 of the shared table, whose indices the checks above bound.
+    """
     if t < 0 or m < 1 or m + t > n:
         raise ValueError("requires t >= 0, m >= 1 and m + t <= n")
     if m < ratio_decay_start(n):
         raise PreconditionError(f"m={m} is below 2*H_{n}+1")
-    return (1 << t) * stirling_unsigned(n + 1, m + t + 1) <= stirling_unsigned(n + 1, m + 1)
+    if len(_table.rows) <= n + 1:
+        _table.extend(n + 1)
+    row = _table.rows[n + 1]
+    return (1 << t) * row[m + t + 1] <= row[m + 1]
 
 
 def _nonzero_counts(k_vec: Iterable[int]) -> list[int]:

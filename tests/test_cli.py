@@ -257,6 +257,18 @@ def test_verify_ratio_decay_checks_the_fraction_precondition_pairs(monkeypatch):
     ]
 
 
+def test_verify_ratio_decay_fails_on_one_wrong_table_entry(monkeypatch):
+    # [21 15] raised to [21 10] breaks 2^5 [21 15] <= [21 10], the triple
+    # (n, m, t) = (20, 9, 5); m = 9 is the first m the check takes at n = 20
+    table = stirling.StirlingTable(41)
+    table.rows[21][15] = table.rows[21][10]
+    monkeypatch.setattr(stirling, "_table", table)
+    assert stirling.ratio_decay_start(20) == 9
+    assert not stirling.stirling_ratio_decay_check(20, 9, 5)
+    assert stirling.stirling_ratio_decay_check(20, 9, 4)
+    assert not dict(_checks_stirling(40))["ratio-decay-bound"]
+
+
 def test_verify_logconcave(capsys):
     code, out, _ = run(capsys, "verify", "--suite", "logconcave", "--n-max", "40")
     assert code == EXIT_OK

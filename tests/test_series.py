@@ -10,6 +10,7 @@ import numpy as np
 import pytest
 
 import nekrasov
+from nekrasov import series
 from nekrasov.analysis import SCAN_LIMIT, scan_conjecture_custom
 from nekrasov.partitions import partition_count
 from nekrasov.series import (
@@ -337,15 +338,96 @@ def test_ball_power_counts_binary_powering(monkeypatch):
 
 @pytest.mark.parametrize("dtype", DTYPES)
 def test_ball_square_matches_general_product(dtype):
-    # the square sums the cross term once and doubles it, so its radius
-    # differs from the four-convolution product only by summation order
-    unit = float(np.finfo(dtype).eps) / 2
+    # the radius is a function of the factors' scalars, so a square and the
+    # product with an equal copy agree exactly
     for k in (1, 2, 3, 6):
         x = BallSeries.divisor_sum_series(300, dtype).power(k)
         square = x.multiply(x)
-        general = x.multiply(BallSeries(x.mid.copy(), x.rad.copy(), x.unit))
+        general = x.multiply(BallSeries(x.mid.copy(), x.eps, x.tau, x.lead, x.unit))
         assert np.array_equal(square.mid, general.mid)
-        assert np.all(np.abs(square.rad - general.rad) <= 4 * unit * general.rad)
+        assert (square.eps, square.tau, square.lead) == (general.eps, general.tau, general.lead)
+
+
+def test_ball_multiply_runs_one_convolution(monkeypatch):
+    calls = []
+    convolve = series._convolve_prefix
+    monkeypatch.setattr(series, "_convolve_prefix", lambda a, b: calls.append(b is a) or convolve(a, b))
+    x, y = BallSeries.divisor_sum_series(100), BallSeries.from_fractions(f_series(100).coeffs)
+    x.multiply(x)
+    assert calls == [True]
+    calls.clear()
+    x.multiply(y)
+    assert calls == [False]
+
+
+def _lead(mid, rad):
+    nonzero = np.flatnonzero((mid != 0) | (rad != 0))
+    return int(nonzero[0]) if len(nonzero) else len(mid)
+
+
+def _four_convolution_multiply(a, b):
+    """A per-coefficient radius kernel on (mid, rad) pairs, the scalar radius's oracle.
+
+    Four convolutions: the radius is bounded through mid*mid, the cross terms
+    mid*rad and rad*mid, and rad*rad, plus a summation term g*mid and an
+    underflow term.
+    """
+    (ma, ra), (mb, rb) = a, b
+    n = len(ma)
+    scalar = ma.dtype.type
+    lu = _sum_terms(n) * float(np.finfo(ma.dtype).eps) / 2
+    g = scalar(2.0 * lu / (1.0 - lu))
+    tiny = scalar(2 * n + 2) * np.finfo(ma.dtype).smallest_subnormal
+    mid = _convolve_prefix(ma, mb)
+    cross = _convolve_prefix(ma, rb) + _convolve_prefix(mb, ra)
+    rad = (cross + _convolve_prefix(ra, rb) + g * mid + tiny) * (scalar(1.0) + 4 * g)
+    rad[: _lead(ma, ra) + _lead(mb, rb)] = 0
+    return mid, rad
+
+
+@pytest.mark.parametrize("dtype", DTYPES)
+def test_scalar_radius_matches_the_four_convolution_oracle(dtype):
+    ball = BallSeries.divisor_sum_series(300, dtype)
+    base = (ball.mid, ball.mid * ball.eps)  # f's radius, 2u mid, as the oracle had it
+    for k in range(1, 14):
+        x = ball.power(k)
+        acc = base
+        for bit in bin(k)[3:]:
+            acc = _four_convolution_multiply(acc, acc)
+            if bit == "1":
+                acc = _four_convolution_multiply(acc, base)
+        mid, rad = acc
+        assert np.array_equal(x.mid, mid), k
+        assert x.lead == k and np.all(x.rad[:k] == 0) and np.all(rad[:k] == 0)
+        assert np.all(np.abs(x.rad[k:] - rad[k:]) <= 1e-6 * rad[k:]), k
+
+
+def _corners(ball):
+    """The exact lowest and highest series inside a ball."""
+    lo, hi = [], []
+    for n, m in enumerate(ball.mid):
+        m, eps, tau = _as_fraction(m), _as_fraction(ball.eps), _as_fraction(ball.tau)
+        inside = n >= ball.lead
+        lo.append(max(m - eps * m - tau, 0) if inside else Fraction(0))
+        hi.append(m + eps * m + tau if inside else Fraction(0))
+    return RationalSeries(lo), RationalSeries(hi)
+
+
+@pytest.mark.parametrize("dtype", DTYPES)
+def test_wide_balls_enclose_the_products_of_their_corners(dtype):
+    # eps = 1/2 and tau = 1/4: the cross term eps_a eps_b and the propagated
+    # tau are as large as the rest of the radius
+    unit = float(np.finfo(dtype).eps) / 2
+    mid_a = np.array([0, 0, 1, 3, 0, 2, 5, 1], dtype=dtype)
+    mid_b = np.array([0, 4, 1, 0, 7, 1, 2, 3], dtype=dtype)
+    a = BallSeries(mid_a, dtype(0.5), dtype(0.25), 2, unit)
+    b = BallSeries(mid_b, dtype(0.5), dtype(0.25), 1, unit)
+    (a_lo, a_hi), (b_lo, b_hi) = _corners(a), _corners(b)
+    for x, y, low, high in ((a, b, series_multiply(a_lo, b_lo), series_multiply(a_hi, b_hi)),
+                            (a, a, series_multiply(a_lo, a_lo), series_multiply(a_hi, a_hi))):
+        lo, hi = x.multiply(y).bounds()
+        for n in range(len(mid_a)):
+            assert _as_fraction(lo[n]) <= low[n] and high[n] <= _as_fraction(hi[n]), n
 
 
 # ---------------------------------------------------------------------------
@@ -474,3 +556,31 @@ def test_ball_multiply_radius_covers_underflow():
     lo, hi = square.bounds()
     assert square.mid[2] == 0 and hi[2] > 0 and lo[2] == 0
     assert lo[1] == hi[1] == 0
+
+
+@pytest.mark.parametrize("exponent", [160, 170])
+def test_underflowed_square_times_a_huge_series_keeps_its_enclosure(exponent):
+    # the square of sigma_{-1} 10^-e rounds to subnormals (e = 160) or to 0
+    # (e = 170); only the absolute term it inherits bounds those coefficients
+    # once they are multiplied by sigma_{-1} 10^300 up to about 10^-40
+    small = RationalSeries([0] + [sigma_minus1(i) / 10**exponent for i in range(1, 13)])
+    huge = RationalSeries([0] + [sigma_minus1(i) * 10**300 for i in range(1, 13)])
+    square = BallSeries.from_fractions(small.coeffs).power(2)
+    assert square.tau > 0 and square.mid[2] < np.finfo(np.float64).tiny
+    ball = square.multiply(BallSeries.from_fractions(huge.coeffs))
+    exact = series_multiply(series_multiply(small, small), huge)
+    lo, hi = ball.bounds()
+    for n, c in enumerate(exact):
+        assert _as_fraction(lo[n]) <= c <= _as_fraction(hi[n]), n
+    assert ball.lead == 3 and lo[2] == hi[2] == 0
+
+
+def test_an_overflowed_midpoint_sum_makes_the_absolute_term_infinite():
+    # (10^-200 q + 10^200 q^2)^2 underflows at q^2 (tau > 0) and overflows at
+    # q^4; the next square needs the sum of those midpoints to bound tau
+    square = BallSeries.from_fractions([Fraction(0), Fraction(1, 10**200), Fraction(10**200)]
+                                       + [Fraction(0)] * 6).power(2)
+    assert square.tau > 0 and np.isinf(square.mid[4])
+    with np.errstate(over="ignore", invalid="ignore"):
+        fourth = square.multiply(square)
+    assert np.isinf(fourth.tau) and not np.any(np.isfinite(fourth.rad[fourth.lead:]))
