@@ -7,9 +7,13 @@ violate log-concavity (c_n^2 < c_{n-1} c_{n+1}).  Two modes:
   denominator, so every comparison is an integer cross-multiplication.
   Row j follows from row j - 1 by q d/dq (f^j) = j f^(j-1) q f', the step
   behind the Heim-Neuhauser recurrence for Q_n: its multipliers i f_i are
-  small integers (sigma(i) for sigma_{-1}) times one common factor.  The
-  ladder is `series._PowerRow`, the package's one exact kernel for powers of
-  f.  The truncation order doubles until a violation is found or n_max is
+  small integers (sigma(i) for sigma_{-1}) times one common factor, so each
+  row is row j - 1 times a Toeplitz matrix of small integers, which
+  `series._ExactToeplitz` applies on BLAS in float64 without rounding (row
+  j - 1 cut into 32- or 16-bit limbs).  The ladder is `series._PowerRow`,
+  the package's one exact kernel for powers of f; it appends the zeros of
+  f^j below j times f's first nonzero index without computing them.  The
+  truncation order doubles until a violation is found or n_max is
   reached; each doubling only appends and checks the new coefficients, and
   the last pass drops each row once the next is built.  The same kernel
   serves the exact fallback below, the coefficients c_{n,k}, the partial

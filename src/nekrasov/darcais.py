@@ -140,7 +140,7 @@ class _QTable:
     A[n][.] = R_n / n!, so warm reads return stored values; a column A[.][k]
     is read off the rows.  `a_cross_recursion` reads f^1..f^SHARED_POWERS
     from one sigma_{-1} ladder, `series._PowerRow` (the package's one exact
-    kernel for powers of f), extended in place.  The tables are append-only
+    kernel for powers of f), extended in place to the table's n_max.  The tables are append-only
     and unlocked: the package runs single-threaded (scan --jobs uses processes).
     """
 
@@ -222,7 +222,8 @@ def a_cross_recursion(a: int, b: int, n: int) -> Fraction:
     j = b - a
     shared = j <= SHARED_POWERS
     powers = _ladder.powers if shared else _PowerRow(j, "sigma-minus-one")
-    powers.extend(n - a, free=not shared)
+    # the shared rows grow with the table, so later requests up to its n_max extend nothing
+    powers.extend(_ladder.n_max if shared else n - a, free=not shared)
     col_a = _ladder.int_cols[a]  # col_a[m - a] = R_m[a]
     c = powers.rows[j]
     acc = 0  # sum_{t >= i} perm(n, t) / perm(n, i) R_{n-t}[a] rows[j][t], by Horner's rule

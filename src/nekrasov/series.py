@@ -15,10 +15,13 @@ from __future__ import annotations
 
 import math
 from fractions import Fraction
-from operator import mul
+from functools import partial
+from itertools import repeat
+from operator import add, lshift
 from typing import Callable, Sequence
 
 import numpy as np
+from numpy.lib.stride_tricks import as_strided
 
 
 def divisor_sigma(n: int) -> int:
@@ -197,6 +200,113 @@ def _scaled_rule_base(rule: str, n_max: int) -> tuple[list[int], int]:
     return [c.numerator * (denom // c.denominator) for c in coeffs], denom
 
 
+# Every integer of magnitude up to 2^53 is a float64, so a dot product of
+# integers is exact in any summation order while sum|terms| stays below it.
+_EXACT_BITS = 53
+# Weights longer than this cannot be cut into 16-bit pieces whose products
+# with 16-bit limbs sum below 2^53: len(e) (2^16 - 1) 2^16 < 2^53.
+_MAX_WEIGHTS = 2**21
+_ROWS_PER_MATMUL = 16  # output entries per dgemm
+# limb columns per dgemm: at least 16, and as many as keep the float64 slice
+# of row j - 1 within 2^13 numbers, so a short row takes one dgemm per block
+_MIN_LIMBS_PER_MATMUL, _SLICE_FLOATS = 16, 2**13
+
+
+class _ExactToeplitz:
+    """Integer products with the lower-triangular Toeplitz matrix of integer weights e.
+
+    `rows(x, lo, start, stop)` yields sum_{m=lo..n-1} e[n - m] x[m] (x[m] = 0
+    for m >= len(x)) for n = start..stop-1, exactly, from float64 matmuls
+    (BLAS dgemm); e[0] is never read, and it needs lo < start, lo < len(x)
+    and stop - lo <= len(e).  Each x[m] is cut into w-bit two's-complement
+    limbs, all unsigned but the top one, so |limb| <= 2^w; then every partial
+    sum of a limb column times the weights is an integer of magnitude at
+    most sum|e| 2^w, exact in any summation order while that is below 2^53
+    (error-free splitting, Ozaki, Ogita, Oishi and Rump, 2012).  w = 32 while
+    sum|e| < 2^21 and 16 while sum|e| < 2^37; past that e itself is cut into
+    signed 16-bit pieces, one block of matmul rows each, which needs
+    len(e) <= 2^21.  Each n is rebuilt from its limb sums with int.from_bytes.
+    """
+
+    def __init__(self, e: list[int]):
+        e = [0, *e[1:]]  # e[0] multiplies no term; the zero keeps the diagonal out of every block
+        if sum(map(abs, e)) < 2 ** (_EXACT_BITS - 16):
+            self.shifts, pieces = [0], [e]
+        else:
+            if len(e) > _MAX_WEIGHTS:
+                raise ValueError(f"{len(e)} weights are too many for exact float64 products")
+            top = max(map(abs, e)).bit_length()
+            self.shifts = list(range(0, top, 16))
+            pieces = [[c >> s & 0xFFFF if c >= 0 else -(-c >> s & 0xFFFF) for c in e]
+                      for s in self.shifts]
+        self.w = 32 if max(sum(map(abs, p)) for p in pieces) < 2 ** (_EXACT_BITS - 32) else 16
+        self.length = len(e)
+        # hankel[t, i, c] = piece t of e[i + c - _ROWS_PER_MATMUL], 0 outside 0..len(e)-1:
+        # every block of the Toeplitz matrix, its columns reversed, is a slice of it
+        padded = np.zeros((len(pieces), _ROWS_PER_MATMUL + 2 * len(e)))
+        padded[:, _ROWS_PER_MATMUL : _ROWS_PER_MATMUL + len(e)] = pieces
+        step, shift = padded.strides
+        self.hankel = as_strided(padded, (len(pieces), _ROWS_PER_MATMUL + len(e), len(e)),
+                                 (step, shift, shift), writeable=False)
+
+    def rows(self, x: list[int], lo: int, start: int, stop: int):
+        if start >= stop:
+            return
+        if not (0 <= lo < min(start, len(x)) and stop - lo <= self.length):
+            raise ValueError(f"rows({lo}, {start}, {stop}) is outside {len(x)} entries and {self.length} weights")
+        end = min(stop - 1, len(x))  # the columns lo..end-1 that any n reads
+        span = x[lo:end][::-1]  # image row t holds x[end - 1 - t]
+        size = (max(map(abs, span)).bit_length() + 64) // 64 * 8  # bytes per entry, sign bit included
+        pack = partial(int.to_bytes, length=size, byteorder="little", signed=True)
+        image = bytearray(len(span) * size)
+        for t in range(0, len(span), _ROWS_PER_MATMUL):  # a few at a time: no second copy of x
+            image[t * size : (t + _ROWS_PER_MATMUL) * size] = b"".join(
+                map(pack, span[t : t + _ROWS_PER_MATMUL]))
+        w = self.w
+        limbs = np.frombuffer(image, f"<u{w // 8}").reshape(len(span), -1)  # little-endian, as packed
+        signed = limbs.view(f"<i{w // 8}")
+        stored, height = len(x), len(span)
+        del x, span  # a freeing ladder holds row j - 1 only here, and the image replaces it
+        width = limbs.shape[1]
+        chunk = min(width, max(_MIN_LIMBS_PER_MATMUL, _SLICE_FLOATS // height))
+        phases = 64 // w  # limbs l = phases q + p: phase p's sums sit 64 bits apart, never overlapping
+        # each limb sum is biased by 2^53 to be non-negative; bias takes that off again
+        unit = int.from_bytes((1).to_bytes(w // 8, "little") * width, "little")
+        bias = -sum(unit << _EXACT_BITS + s for s in self.shifts)
+        pieces = len(self.shifts)
+        toeplitz = np.empty(pieces * _ROWS_PER_MATMUL * height)
+        sliced = np.empty((height, chunk))
+        sums = np.empty((pieces * _ROWS_PER_MATMUL, width))
+        words = np.empty((pieces * _ROWS_PER_MATMUL, phases, width // phases), "<i8")
+        for n0 in range(start, stop, _ROWS_PER_MATMUL):
+            b = min(_ROWS_PER_MATMUL, stop - n0)
+            cols = min(n0 + b - 1, stored) - lo  # m = lo..lo+cols-1, the image's last cols rows
+            # block[t b + r, c] = piece t of e[n0 + r - (lo + cols - 1 - c)]
+            first = _ROWS_PER_MATMUL + n0 - lo - cols + 1
+            block = toeplitz[: pieces * b * cols].reshape(pieces, b, cols)
+            np.copyto(block, self.hankel[:, first : first + b, :cols])
+            block = block.reshape(pieces * b, cols)
+            for l0 in range(0, width, chunk):
+                l1 = min(l0 + chunk, width)
+                part = sliced[:cols, : l1 - l0]
+                np.copyto(part, limbs[height - cols :, l0:l1])
+                if l1 == width:  # the top limb carries the sign
+                    np.copyto(part[:, -1], signed[height - cols :, -1])
+                np.matmul(block, part, out=sums[: pieces * b, l0:l1])
+            np.add(sums[: pieces * b].reshape(pieces * b, -1, phases).transpose(0, 2, 1),
+                   2**_EXACT_BITS, out=words[: pieces * b], dtype=np.int64, casting="unsafe")
+            data = words[: pieces * b].tobytes()
+            # parts[(t b + r) phases + p] is phase p of piece t of entry n0 + r
+            parts = [int.from_bytes(data[i : i + size], "little") for i in range(0, len(data), size)]
+            acc = [bias] * b
+            for t, shift in enumerate(self.shifts):
+                for p in range(phases):
+                    k = t * b * phases + p
+                    acc = list(map(add, acc, map(lshift, parts[k : k + b * phases : phases],
+                                                 repeat(shift + w * p, b))))
+            yield from acc
+
+
 class _PowerRow:
     """The powers f^0..f^k of a registered rule f, as integers over denom^j.
 
@@ -211,15 +321,20 @@ class _PowerRow:
     sigma_{-1}, i f_i = sigma(i), so g = denom and e_i = sigma(i): each step
     multiplies big entries by small integers, where J.C.P. Miller's power
     recurrence needs big-by-big products.  Row j is built from row j - 1,
-    so the ladder keeps every row up to k.
+    so the ladder keeps every row up to k.  The sums over i are the product
+    of row j - 1 with the Toeplitz matrix of e, computed exactly on BLAS by
+    `_ExactToeplitz`; orders from 2^21 - 1 up are refused.
 
-    `extend` rescales the stored rows by (denom'/denom)^j when denom grows,
-    then only appends.  A build that is never extended again passes
-    `free=True`: row j - 1 is dropped once row j is complete (base stays),
-    and a later `extend` raises ValueError.  Such a build reads only row k,
-    and row j at n reads row j - 1 only up to n - s, where s >= 1 is the
-    first i with e_i != 0 (s = 1 when every e_i is 0); so it stops row j at
-    order - (k - j) s, and a high power built to a low order costs little.
+    f^j is 0 below j lead, where lead is the index of f's first nonzero
+    coefficient: those zeros are appended, not computed, and row j reads
+    row j - 1 only from (j - 1) lead.  `extend` rescales the stored rows by
+    (denom'/denom)^j when denom grows, then only appends.  A build that is
+    never extended again passes `free=True`: row j - 1 is dropped once row j
+    is complete (base stays), and a later `extend` raises ValueError.  Such a
+    build reads only row k, and row j at n reads row j - 1 only up to n - s,
+    where s >= 1 is the first i with e_i != 0 (s = 1 when every e_i is 0);
+    so it stops row j at order - (k - j) s, and a high power built to a low
+    order costs little.
     """
 
     def __init__(self, k: int, rule: str):
@@ -236,6 +351,8 @@ class _PowerRow:
 
     def extend(self, order: int, free: bool = False) -> None:
         """Make rows[0..k][0..order] available."""
+        if order + 1 >= _MAX_WEIGHTS:
+            raise ValueError(f"order {order} is above the exact power ladder's limit {_MAX_WEIGHTS - 2}")
         if self.freed:
             raise ValueError("this power row freed its ladder and cannot be extended")
         rows = self.rows
@@ -248,8 +365,10 @@ class _PowerRow:
             if rem or [c * scale for c in self.base] != base[:old]:
                 raise ValueError(f"series rule {self.rule!r} changed its coefficients below q^{old}")
             if scale != 1:  # every stored row moves to the new denom before denom changes
-                factors = [scale**j for j in range(2, self.k + 1)]
-                rows[2:] = [[c * f for c in row] for row, f in zip(rows[2:], factors)]
+                for j, row in enumerate(rows[2:], 2):
+                    factor = scale**j
+                    for n, c in enumerate(row):
+                        row[n] = c * factor
             self.base, self.denom = base, denom
         base = self.base
         rows[0] += [int(n == 0) for n in range(len(rows[0]), order + 1)]
@@ -257,20 +376,23 @@ class _PowerRow:
             rows[1] = base
         weights = [i * c for i, c in enumerate(base[: order + 1])]
         g = math.gcd(*weights) or 1
-        rev = [w // g for w in reversed(weights)]  # rev[order - i] = e_i
+        toeplitz = _ExactToeplitz([w // g for w in weights])
+        lead = next((i for i, c in enumerate(base) if c), len(base))  # f^j = 0 below j lead
         s = next((i for i, w in enumerate(weights) if w), 1)  # e_i = 0 for i < s
         for j in range(2, self.k + 1):
-            row, prev = rows[j], rows[j - 1]
+            row = rows[j]
             if not row:
                 row.append(base[0] ** j)
-            jg = j * g
             top = order - (self.k - j) * s if free else order  # the band row k needs
-            for n in range(len(row), top + 1):
-                c, rem = divmod(jg * sum(map(mul, rev[order - n : order], prev)), n)
+            row += [0] * (min(j * lead, top + 1) - len(row))
+            sums = toeplitz.rows(rows[j - 1], (j - 1) * lead, len(row), top + 1)
+            if free and j > 2:
+                rows[j - 1] = None  # the kernel's limb image of row j - 1 replaces it
+            jg = j * g
+            for n, acc in enumerate(sums, len(row)):  # runs sums to its end, which frees its buffers
+                c, rem = divmod(jg * acc, n)
                 assert rem == 0, "the q d/dq step divides exactly"
                 row.append(c)
-            if free and j > 2:
-                rows[j - 1] = None
         if free:
             self.freed = True
 

@@ -1,7 +1,9 @@
 """Diagnostics, scanners, ratio reports, and the surrogate sums."""
 
 import math
+import random
 from fractions import Fraction
+from operator import mul
 
 import numpy as np
 import pytest
@@ -32,6 +34,7 @@ from nekrasov.series import (
     BallSeries,
     RationalSeries,
     _ld_available,
+    _ExactToeplitz,
     _PowerRow,
     _scaled_rule_base,
     custom_series,
@@ -491,16 +494,195 @@ def test_freeing_build_equals_full_build(rule):
             ), (k, orders)
 
 
+class _LoopRow(_PowerRow):
+    """The ladder with its sums as first written, one Python loop per entry:
+    the oracle of `_ExactToeplitz`.  Same rows, denominators and free band."""
+
+    def extend(self, order: int, free: bool = False) -> None:
+        if self.freed:
+            raise ValueError("this power row freed its ladder and cannot be extended")
+        rows = self.rows
+        if order < len(rows[self.k]):
+            return
+        old = len(self.base)
+        if order >= old:
+            base, denom = _scaled_rule_base(self.rule, order)
+            scale = denom // self.denom
+            assert base[:old] == [c * scale for c in self.base]
+            rows[2:] = [[c * scale**j for c in row] for j, row in enumerate(rows[2:], 2)]
+            self.base, self.denom = base, denom
+        base = self.base
+        rows[0] += [int(n == 0) for n in range(len(rows[0]), order + 1)]
+        if self.k >= 1:
+            rows[1] = base
+        weights = [i * c for i, c in enumerate(base[: order + 1])]
+        g = math.gcd(*weights) or 1
+        rev = [w // g for w in reversed(weights)]  # rev[order - i] = e_i
+        s = next((i for i, w in enumerate(weights) if w), 1)
+        for j in range(2, self.k + 1):
+            row, prev = rows[j], rows[j - 1]
+            if not row:
+                row.append(base[0] ** j)
+            top = order - (self.k - j) * s if free else order
+            for n in range(len(row), top + 1):
+                c, rem = divmod(j * g * sum(map(mul, rev[order - n : order], prev)), n)
+                assert rem == 0
+                row.append(c)
+            if free and j > 2:
+                rows[j - 1] = None
+        if free:
+            self.freed = True
+
+
+def _loop_sums(e: list[int], x: list[int], lo: int, start: int, stop: int) -> list[int]:
+    """sum_{m=lo..n-1} e[n - m] x[m] for n = start..stop-1, one loop each."""
+    return [sum(map(mul, e[n - lo : 0 : -1], x[lo:n])) for n in range(start, stop)]
+
+
+def _huge_numerators(n: int) -> RationalSeries:
+    # numerators from 2^40 up, mixed signs: the weights exceed 2^37 in sum
+    # and are cut into 16-bit pieces
+    return RationalSeries(
+        [Fraction(5)] + [Fraction((-1) ** m * (2**40 + m**5), m % 3 + 1) for m in range(1, n + 1)]
+    )
+
+
+register_series_rule("huge-numerators-test", _huge_numerators)
+LADDER_RULES = KERNEL_RULES + ["huge-numerators-test"]
+
+
+def _same_ladder(row: _PowerRow, oracle: _PowerRow) -> bool:
+    return (row.rows, row.denom, row.base, row.freed) == (
+        oracle.rows, oracle.denom, oracle.base, oracle.freed
+    )
+
+
+@pytest.mark.parametrize("rule", LADDER_RULES)
+def test_ladder_matches_the_loop(rule):
+    for k in (0, 1, 2, 3, 7):
+        for orders, free in (([100], False), ([1, 2, 40, 41, 100], False),
+                             ([100], True), ([30, 75, 100], True)):
+            row, oracle = _PowerRow(k, rule), _LoopRow(k, rule)
+            for order in orders:
+                row.extend(order, free and order == orders[-1])
+                oracle.extend(order, free and order == orders[-1])
+                assert _same_ladder(row, oracle), (k, orders, free, order)
+
+
+def test_huge_numerators_take_the_split_weights():
+    base, _ = _scaled_rule_base("huge-numerators-test", 100)
+    kernel = _ExactToeplitz([i * c for i, c in enumerate(base)])
+    assert len(kernel.shifts) > 1 and kernel.w == 16
+
+
+def _big_signed(rng: random.Random, count: int, bits: int) -> list[int]:
+    # every sign, zeros, powers of two, entries above 2^64 and near 2^bits
+    special = [0, 1, -1, 2**64, -(2**64), 2**64 - 1, -(2**63), 2**bits - 1, -(2**bits) + 1]
+    out = [rng.randrange(-(2**bits), 2**bits) >> rng.randrange(bits) for _ in range(count)]
+    for i, v in enumerate(special):
+        out[(7 * i) % count] = v
+    return out
+
+
+@pytest.mark.parametrize(
+    "e_bits, count, w, pieces",
+    [(10, 300, 32, 1),  # sum|e| < 2^21
+     (20, 300, 16, 1),  # sum|e| < 2^37
+     (45, 300, 16, 3),  # split into 16-bit pieces
+     (40, 20, 32, 3)],  # pieces short enough for 32-bit limbs
+)
+def test_exact_toeplitz_matches_the_loop_on_each_path(e_bits, count, w, pieces):
+    rng = random.Random(e_bits * count)
+    e = [rng.randrange(-(2**e_bits), 2**e_bits) for _ in range(count)]
+    e[1] = 2**e_bits - 1
+    kernel = _ExactToeplitz(e)
+    assert (kernel.w, len(kernel.shifts)) == (w, pieces)
+    x = _big_signed(rng, count, 300)
+    # one-entry blocks, a block boundary, a row that ends one entry into a block
+    for lo, start, stop in ((0, 1, count), (5, 6, 7), (3, count // 3, count + 3),
+                            (0, count - 1, count), (10, 11, min(44, count + 10)), (1, 2, min(35, count + 1))):
+        assert list(kernel.rows(x, lo, start, stop)) == _loop_sums(e, x, lo, start, stop)
+    # row j - 1 of a freeing ladder is shorter than the band row j reads
+    short = x[: count // 4]
+    assert list(kernel.rows(short, 2, 6, count)) == _loop_sums(e, short, 2, 6, count)
+
+
+def test_exact_toeplitz_all_ones_limbs_need_16_bits():
+    # sigma(i) to 1800 sums past 2^21, and entries whose limbs are all ones
+    # drive every limb sum to its bound: 32-bit limbs would round past 2^53
+    e = [0] + series.sigma_sieve(1800)[1:]
+    kernel = _ExactToeplitz(e)
+    assert sum(e) >= 2**21 and kernel.w == 16
+    for x in ([(1 << 320) - 1] * 1801, [-1] * 1801):
+        assert list(kernel.rows(x, 0, 1760, 1801)) == _loop_sums(e, x, 0, 1760, 1801)
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    st.lists(st.integers(-(2**50), 2**50), min_size=2, max_size=80),
+    st.lists(st.integers(-(2**200), 2**200), min_size=1, max_size=80),
+    st.data(),
+)
+def test_exact_toeplitz_matches_the_loop_on_random_vectors(e, x, data):
+    lo = data.draw(st.integers(0, len(x) - 1))
+    start = data.draw(st.integers(lo + 1, lo + len(e) - 1))
+    stop = data.draw(st.integers(start, lo + len(e)))
+    assert list(_ExactToeplitz(e).rows(x, lo, start, stop)) == _loop_sums(e, x, lo, start, stop)
+
+
+def test_ladder_skips_the_zero_prefix(monkeypatch):
+    # late-start-test starts at q^70, so f^j is 0 below q^(70 j): those
+    # entries are appended, and row j reads row j - 1 from q^(70 (j - 1))
+    calls = _record_kernel_calls(monkeypatch)
+    row = _PowerRow(3, "late-start-test")
+    row.extend(300)
+    assert calls == [(70, 140, 301), (140, 210, 301)]
+    oracle = _LoopRow(3, "late-start-test")
+    oracle.extend(300)
+    assert _same_ladder(row, oracle)
+    calls.clear()
+    row.extend(400)  # a grown ladder reads the same prefix and computes only the new entries
+    assert calls == [(70, 301, 401), (140, 301, 401)]
+
+
+def test_ladder_order_guard_refuses_before_any_work(monkeypatch):
+    built = []
+    monkeypatch.setattr(series, "_scaled_rule_base", lambda *args: built.append(args))
+    with pytest.raises(ValueError, match="limit"):
+        coefficient_c(2**21, 2)
+    with pytest.raises(ValueError, match="limit"):
+        _PowerRow(2, "sigma-minus-one").extend(2**21 - 1)
+    assert built == []
+
+
+def _record_kernel_calls(monkeypatch) -> list[tuple[int, int, int]]:
+    """(lo, start, stop) of every call of the ladder's exact convolution."""
+    calls = []
+    rows = _ExactToeplitz.rows
+
+    def recorded(self, x, lo, start, stop):
+        calls.append((lo, start, stop))
+        return rows(self, x, lo, start, stop)
+
+    monkeypatch.setattr(_ExactToeplitz, "rows", recorded)
+    return calls
+
+
 def test_freeing_build_computes_only_the_band(monkeypatch):
-    # sigma_{-1} has s = 1, so building f^40 to q^40 stops row j at q^j:
-    # row j costs 1 + 2 + ... + j products, where full rows cost 39 * 820
-    products = []
-    monkeypatch.setattr(series, "mul", lambda x, y: products.append(1) or x * y)
+    # building f^40 to q^40 with s = 1 stops row j at q^j, where full rows
+    # reach q^40; sigma_{-1} starts at q^1, so row j also skips the zeros
+    # below q^j and computes only its entry at q^j
+    calls = _record_kernel_calls(monkeypatch)
     k = 40
     row = _PowerRow(k, "sigma-minus-one")
     row.extend(k, free=True)
     assert row.nums[k] == row.denom**k  # c_{k,k} = 1
-    assert len(products) == sum(j * (j + 1) // 2 for j in range(2, k + 1))
+    assert calls == [(j - 1, j, j + 1) for j in range(2, k + 1)]
+    # mixed-signs-test has a constant term, so every entry of the band is computed
+    calls.clear()
+    row = _PowerRow(k, "mixed-signs-test")
+    row.extend(k, free=True)
+    assert calls == [(0, 1, j + 1) for j in range(2, k + 1)]
 
 
 def test_exact_scan_frees_only_its_last_pass(monkeypatch):

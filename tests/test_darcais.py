@@ -296,6 +296,20 @@ def test_tall_request_leaves_the_shared_ladder_alone(monkeypatch):
     assert not table.powers.freed
 
 
+def test_shared_rows_grow_with_the_table(monkeypatch):
+    # the first low-power request extends the shared rows to the table's n_max,
+    # so later requests up to it extend nothing
+    table = _QTable()
+    monkeypatch.setattr(darcais, "_ladder", table)
+    q_table_via_recursion(60)
+    assert a_cross_recursion(2, 3, 10) == q_via_recursion(10).coeffs[3]
+    lengths = [len(row) for row in table.powers.rows]
+    assert lengths == [61] * (SHARED_POWERS + 1)
+    for a, b, n in ((0, 1, 60), (5, 8, 33), (0, 3, 3), (40, 41, 59)):
+        assert a_cross_recursion(a, b, n) == q_via_recursion(n).coeffs[b]
+    assert [len(row) for row in table.powers.rows] == lengths
+
+
 def test_table_limit_refused_before_allocating():
     table = _QTable()
     with pytest.raises(ValueError, match=f"n={TABLE_LIMIT + 1} is above the Q table limit {TABLE_LIMIT}"):
