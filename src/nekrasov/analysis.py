@@ -22,13 +22,13 @@ violate log-concavity (c_n^2 < c_{n-1} c_{n+1}).  Two modes:
   bits over the whole range.  Their radii count the roundings of the blocked
   convolution kernel, not of one long sum, so float64 alone decides the
   sigma_{-1} table up to k = 12.  The n whose enclosures overlap are
-  rechecked at 64-bit extended precision, with the power built only up to
-  the highest of them; the n neither precision decided go to exact
-  rationals below the exact-fallback bound.  Certificates of both
-  precisions are merged: the first certified violation at either is n0.  A
-  comparison is never reported without a disjoint-enclosure or exact
-  certificate; if escalation runs out, the scan is flagged uncertified
-  rather than guessed.
+  rechecked at 64-bit extended precision wherever numpy's longdouble is
+  wider than float64, with the power built only up to the highest of them;
+  the n neither precision decided go to exact rationals below the
+  exact-fallback bound.  Certificates of both precisions are merged: the
+  first certified violation at either is n0.  A comparison is never
+  reported without a disjoint-enclosure or exact certificate; if
+  escalation runs out, the scan is flagged uncertified rather than guessed.
 """
 
 from __future__ import annotations
@@ -39,7 +39,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from itertools import accumulate
 from operator import mul
-from typing import Callable, Sequence
+from typing import Sequence
 
 import numpy as np
 
@@ -53,8 +53,7 @@ from .series import (
 )
 
 DEFAULT_EXACT_FALLBACK = 400
-DEFAULT_PRECISION_CAP = 212
-SCAN_LIMIT = 2**18  # the largest n_max a scan accepts: every default bound up to k = 17
+SCAN_LIMIT = 2**18  # the largest n_max and k a scan accepts: every default bound up to k = 17
 SCAN_CSV_HEADER = "k,n0,mode,elapsed_ms,n_max"
 RATIO_CSV_HEADER = "k,n,ratio_lo,ratio_hi,envelope"
 
@@ -223,23 +222,48 @@ def _ball_scan(ball: BallSeries, k: int, n_stop: int) -> _BallScanOutcome:
     return _BallScanOutcome(first, [int(u) for u in und_idx])
 
 
-def _scan_core(
+def _float_base(rule: str, order: int, dtype) -> BallSeries:
+    """The enclosure of f that the float passes raise to the k-th power."""
+    if rule == "sigma-minus-one":
+        return BallSeries.divisor_sum_series(order, dtype)
+    return BallSeries.from_fractions(custom_series(rule, order).coeffs, dtype)
+
+
+def default_scan_bound(k: int) -> int:
+    """Default n_max: the conjectured window 2^k with doubling headroom,
+    floored so that small k still reach their first violation.  A k whose
+    bound would pass SCAN_LIMIT is refused by its size, before 2^k is built."""
+    if k >= SCAN_LIMIT.bit_length() - 1:
+        raise ValueError(f"the default n_max = 2^{k + 1} of k={k} is above the scan limit {SCAN_LIMIT}")
+    return max(2 * 2**k, 256)
+
+
+def scan_conjecture(
     k: int,
-    n_max: int,
-    mode: str,
-    rule: str,
-    ball_base: Callable[[int, object], BallSeries],
-    exact_fallback: int,
-    precision_cap: int,
+    n_max: int | None = None,
+    mode: str = "exact",
+    *,
+    rule: str = "sigma-minus-one",
+    exact_fallback: int = DEFAULT_EXACT_FALLBACK,
 ) -> ScanReport:
+    """First log-concavity violation n0(k) of the coefficients of f(q)^k.
+
+    f is any registered series rule; sigma_{-1} needs k >= 2, since f itself
+    is log-concave, and the other rules take k >= 1.
+    """
+    k_min = 2 if rule == "sigma-minus-one" else 1
+    if k < k_min:
+        raise ValueError(f"k must be >= {k_min}")
+    if k > SCAN_LIMIT:
+        raise ValueError(f"k={k} is above the scan limit {SCAN_LIMIT}")
+    if n_max is None:
+        n_max = default_scan_bound(k)
     if n_max < 3:
         raise ValueError("n_max must be >= 3")
     if n_max > SCAN_LIMIT:
         raise ValueError(f"n_max={n_max} is above the scan limit {SCAN_LIMIT}")
     if mode not in ("exact", "adaptive-float"):
         raise ValueError(f"unknown mode {mode!r}")
-    if precision_cap < 53:
-        raise ValueError("precision cap must be at least 53 bits")
     start = time.perf_counter()
 
     if mode == "exact":
@@ -257,16 +281,16 @@ def _scan_core(
                 )
             lo, order = order, min(2 * order, n_max)
 
-    outcome = _ball_scan(ball_base(n_max, np.float64), k, n_max - 1)
+    outcome = _ball_scan(_float_base(rule, n_max, np.float64), k, n_max - 1)
     viol, undecided = outcome.violation, outcome.undecided
     last_n = n_max - 1  # an uncertified row counts the n up to here
-    if undecided and precision_cap >= 64 and _ld_available():
+    if undecided and _ld_available():
         # recheck only what float64 left open, at the order that reaches it;
         # the float64 certificates stand
         if viol is not None:
             last_n = viol
         top = max(undecided)
-        ld = _ball_scan(ball_base(top + 1, np.longdouble), k, top)
+        ld = _ball_scan(_float_base(rule, top + 1, np.longdouble), k, top)
         if ld.violation is not None:  # below top, so below float64's violation
             viol = ld.violation
         still_open = set(ld.undecided)
@@ -292,53 +316,6 @@ def _scan_core(
     return ScanReport(
         k, n_max, viol, "adaptive-float", True, checked,
         time.perf_counter() - start, rule,
-    )
-
-
-def default_scan_bound(k: int) -> int:
-    """Default n_max: the conjectured window 2^k with doubling headroom,
-    floored so that small k still reach their first violation."""
-    return max(2 * 2**k, 256)
-
-
-def scan_conjecture(
-    k: int,
-    n_max: int | None = None,
-    mode: str = "exact",
-    *,
-    exact_fallback: int = DEFAULT_EXACT_FALLBACK,
-    precision_cap: int = DEFAULT_PRECISION_CAP,
-) -> ScanReport:
-    """First log-concavity violation n0(k) of the coefficients of f(q)^k."""
-    if k < 2:
-        raise ValueError("k must be >= 2")
-    if n_max is None:
-        n_max = default_scan_bound(k)
-    return _scan_core(
-        k, n_max, mode, "sigma-minus-one",
-        lambda order, dtype: BallSeries.divisor_sum_series(order, dtype),
-        exact_fallback, precision_cap,
-    )
-
-
-def scan_conjecture_custom(
-    rule: str,
-    k: int,
-    n_max: int | None = None,
-    mode: str = "exact",
-    *,
-    exact_fallback: int = DEFAULT_EXACT_FALLBACK,
-    precision_cap: int = DEFAULT_PRECISION_CAP,
-) -> ScanReport:
-    """Like scan_conjecture, over any registered series rule (k >= 1 allowed)."""
-    if k < 1:
-        raise ValueError("k must be >= 1")
-    return _scan_core(
-        k, n_max if n_max is not None else default_scan_bound(k), mode, rule,
-        lambda order, dtype: BallSeries.from_fractions(
-            custom_series(rule, order).coeffs, dtype
-        ),
-        exact_fallback, precision_cap,
     )
 
 

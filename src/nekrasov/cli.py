@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import argparse
 import concurrent.futures
+import functools
 import json
 import math
 import sys
@@ -29,15 +30,14 @@ METHOD_CHOICES = darcais.method_names() + ["all"]
 SUITES = ("identities", "logconcave", "stirling", "all")
 
 
-def parse_range(text: str) -> tuple[int, ...]:
-    """Parse "7" or "2..5" (inclusive) into a tuple of ints."""
-    if ".." in text:
-        lo_s, hi_s = text.split("..", 1)
-        lo, hi = int(lo_s), int(hi_s)
-        if hi < lo:
-            raise ValueError(f"empty range {text!r}")
-        return tuple(range(lo, hi + 1))
-    return (int(text),)
+def parse_range(text: str) -> range:
+    """Parse "7" or "2..5" (inclusive) into a range, built lazily."""
+    lo_s, sep, hi_s = text.partition("..")
+    lo = int(lo_s)
+    hi = int(hi_s) if sep else lo
+    if hi < lo:
+        raise ValueError(f"empty range {text!r}")
+    return range(lo, hi + 1)
 
 
 def _emit(text: str, out: str | None) -> None:
@@ -58,8 +58,8 @@ def _emit(text: str, out: str | None) -> None:
 
 def cmd_qpoly(args: argparse.Namespace) -> int:
     ns = parse_range(args.n)
-    if args.method in ("recursion", "all") and max(ns) > darcais.TABLE_LIMIT:
-        raise ValueError(f"n={max(ns)} is above the Q table limit {darcais.TABLE_LIMIT}")
+    if args.method in ("recursion", "all") and ns[-1] > darcais.TABLE_LIMIT:
+        raise ValueError(f"n={ns[-1]} is above the Q table limit {darcais.TABLE_LIMIT}")
     methods = darcais.method_names() if args.method == "all" else [args.method]
     blocks: dict[str, list[darcais.QPolynomial]] = {}
     for method in methods:
@@ -104,33 +104,20 @@ def cmd_qpoly(args: argparse.Namespace) -> int:
 # scan
 # ---------------------------------------------------------------------------
 
-def _scan_one(args: tuple) -> analysis.ScanReport:
-    k, n_max, mode, fallback, cap, rule = args
-    if rule == "sigma-minus-one":
-        return analysis.scan_conjecture(
-            k, n_max, mode, exact_fallback=fallback, precision_cap=cap
-        )
-    return analysis.scan_conjecture_custom(
-        rule, k, n_max, mode, exact_fallback=fallback, precision_cap=cap
-    )
-
-
 def cmd_scan(args: argparse.Namespace) -> int:
     if args.jobs < 1:
         raise ValueError("jobs must be >= 1")
-    jobs = [
-        (k, args.n_max, args.mode, args.exact_fallback, args.precision_cap, args.rule)
-        for k in parse_range(args.k)
-    ]
-    if args.jobs > 1 and len(jobs) > 1:
+    ks = parse_range(args.k)
+    scan = functools.partial(analysis.scan_conjecture, n_max=args.n_max, mode=args.mode,
+                             rule=args.rule, exact_fallback=args.exact_fallback)
+    if args.jobs > 1 and len(ks) > 1:
         with concurrent.futures.ProcessPoolExecutor(max_workers=args.jobs) as pool:
-            reports = list(pool.map(_scan_one, jobs))
+            reports = list(pool.map(scan, ks))
     else:
         reports = []
-        for job in jobs:
-            reports.append(_scan_one(job))
-            print(f"scan: k={job[0]} done in {int(reports[-1].elapsed * 1000)} ms",
-                  file=sys.stderr)
+        for k in ks:
+            reports.append(scan(k))
+            print(f"scan: k={k} done in {int(reports[-1].elapsed * 1000)} ms", file=sys.stderr)
     for r in reports:
         if r.certified and r.n0 is None:
             print(f"scan: k={r.k} has no violation below n_max={r.n_max}", file=sys.stderr)
@@ -326,6 +313,8 @@ def cmd_verify(args: argparse.Namespace) -> int:
 # ---------------------------------------------------------------------------
 
 def cmd_series_dump(args: argparse.Namespace) -> int:
+    if args.order > analysis.SCAN_LIMIT:  # no command builds a series further
+        raise ValueError(f"order {args.order} is above the scan limit {analysis.SCAN_LIMIT}")
     s = series.custom_series(args.rule, args.order)
     if args.format == "json":
         payload = {
@@ -370,16 +359,6 @@ def _add_shared(parser: argparse.ArgumentParser, default_fmt: str) -> None:
     parser.add_argument("--out", default=None, help="output path (default: stdout)")
 
 
-def _add_scan_flags(parser: argparse.ArgumentParser) -> None:
-    parser.add_argument("--mode", choices=("exact", "adaptive-float"), default="exact")
-    parser.add_argument("--precision-cap", type=int, default=analysis.DEFAULT_PRECISION_CAP,
-                        help="53..63 runs the float64 enclosures only; any cap >= 64 adds "
-                             "the one 64-bit longdouble pass before the exact fallback")
-    parser.add_argument("--exact-fallback", type=int, default=analysis.DEFAULT_EXACT_FALLBACK,
-                        help="largest n recomputed exactly when enclosures overlap")
-    parser.add_argument("--jobs", type=int, default=1)
-
-
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="nekrasov",
@@ -400,7 +379,10 @@ def build_parser() -> argparse.ArgumentParser:
     sc.add_argument("--rule", default="sigma-minus-one",
                     choices=series.series_rule_names())
     _add_shared(sc, "csv")
-    _add_scan_flags(sc)
+    sc.add_argument("--mode", choices=("exact", "adaptive-float"), default="exact")
+    sc.add_argument("--exact-fallback", type=int, default=analysis.DEFAULT_EXACT_FALLBACK,
+                    help="largest n recomputed exactly when enclosures overlap")
+    sc.add_argument("--jobs", type=int, default=1)
 
     vf = sub.add_parser("verify", help="run named invariant suites")
     vf.add_argument("--suite", choices=SUITES, default="all")

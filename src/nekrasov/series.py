@@ -323,7 +323,7 @@ class _PowerRow:
     recurrence needs big-by-big products.  Row j is built from row j - 1,
     so the ladder keeps every row up to k.  The sums over i are the product
     of row j - 1 with the Toeplitz matrix of e, computed exactly on BLAS by
-    `_ExactToeplitz`; orders from 2^21 - 1 up are refused.
+    `_ExactToeplitz`; powers and orders from 2^21 - 1 up are refused.
 
     f^j is 0 below j lead, where lead is the index of f's first nonzero
     coefficient: those zeros are appended, not computed, and row j reads
@@ -338,6 +338,8 @@ class _PowerRow:
     """
 
     def __init__(self, k: int, rule: str):
+        if k + 1 >= _MAX_WEIGHTS:
+            raise ValueError(f"power {k} is above the exact power ladder's limit {_MAX_WEIGHTS - 2}")
         self.k = k
         self.rule = rule
         self.base: list[int] = []
@@ -366,6 +368,8 @@ class _PowerRow:
                 raise ValueError(f"series rule {self.rule!r} changed its coefficients below q^{old}")
             if scale != 1:  # every stored row moves to the new denom before denom changes
                 for j, row in enumerate(rows[2:], 2):
+                    if not row:  # so are the rows above it: a fresh ladder rescales nothing
+                        break
                     factor = scale**j
                     for n, c in enumerate(row):
                         row[n] = c * factor
@@ -614,9 +618,7 @@ class BallSeries:
         """Enclosure of f(q); sigma(n) and n are dtype-exact, so one rounding."""
         unit = float(np.finfo(dtype).eps) / 2.0
         scalar = np.dtype(dtype).type
-        sig = np.zeros(n_max + 1, dtype=dtype)
-        for d in range(1, n_max + 1):
-            sig[d::d] += scalar(d)
+        sig = np.array(sigma_sieve(n_max), dtype)
         idx = np.arange(n_max + 1, dtype=dtype)
         idx[0] = 1.0
         mid = sig / idx

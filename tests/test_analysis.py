@@ -19,7 +19,6 @@ from nekrasov.analysis import (
     is_unimodal,
     partial_sum_ratio,
     scan_conjecture,
-    scan_conjecture_custom,
     shape_report,
     surrogate_binomial,
     surrogate_binomial_sequence,
@@ -109,8 +108,8 @@ def test_scan_bad_arguments():
         scan_conjecture(2, 2)
     with pytest.raises(ValueError):
         scan_conjecture(2, 100, "sloppy")
-    with pytest.raises(ValueError):
-        scan_conjecture(2, 100, "exact", precision_cap=40)
+    with pytest.raises(ValueError, match="k must be >= 1"):
+        scan_conjecture(0, 100, rule="remark-series")
 
 
 @pytest.mark.parametrize("k,expected", [(2, 6), (3, 21), (4, 39), (5, 73), (6, 135)])
@@ -129,14 +128,16 @@ def test_scan_float_reports_certified_counts():
 
 
 def test_scan_custom_sigma_rule_matches():
-    a = scan_conjecture(2, 64, "exact")
-    b = scan_conjecture_custom("sigma-minus-one", 2, 64, "exact")
-    assert (a.n0, a.violations_checked) == (b.n0, b.violations_checked)
+    # naming the default rule changes nothing, in either mode
+    for mode in ("exact", "adaptive-float"):
+        a = scan_conjecture(2, 64, mode)
+        b = scan_conjecture(2, 64, mode, rule="sigma-minus-one")
+        assert (a.n0, a.violations_checked, a.rule) == (b.n0, b.violations_checked, b.rule)
 
 
 def test_scan_custom_remark_k1():
     # coefficients 1, 3/2, 1, 3/2, ...: first violation at n = 3 (1 < 9/4)
-    report = scan_conjecture_custom("remark-series", 1, 50)
+    report = scan_conjecture(1, 50, rule="remark-series")
     assert report.n0 == 3
     s = custom_series("remark-series", 10).coeffs
     assert s[3] * s[3] < s[2] * s[4]
@@ -144,8 +145,8 @@ def test_scan_custom_remark_k1():
 
 
 def test_scan_custom_remark_k2_modes_agree():
-    exact = scan_conjecture_custom("remark-series", 2, 200, "exact")
-    floated = scan_conjecture_custom("remark-series", 2, 200, "adaptive-float")
+    exact = scan_conjecture(2, 200, "exact", rule="remark-series")
+    floated = scan_conjecture(2, 200, "adaptive-float", rule="remark-series")
     assert exact.n0 == floated.n0
     assert exact.certified and floated.certified
     # oracle: direct exact convolution and first-violation search
@@ -173,15 +174,11 @@ def test_scan_exact_fallback_decides_ties():
         "geometric-test",
         lambda n: RationalSeries([0] + [Fraction(1, 2**i) for i in range(1, n + 1)]),
     )
-    report = scan_conjecture_custom(
-        "geometric-test", 1, 20, "adaptive-float", exact_fallback=25
-    )
+    report = scan_conjecture(1, 20, "adaptive-float", rule="geometric-test", exact_fallback=25)
     assert report.certified and report.n0 is None
-    starved = scan_conjecture_custom(
-        "geometric-test", 1, 20, "adaptive-float", exact_fallback=0
-    )
+    starved = scan_conjecture(1, 20, "adaptive-float", rule="geometric-test", exact_fallback=0)
     assert not starved.certified and starved.n0 is None
-    exact = scan_conjecture_custom("geometric-test", 1, 20, "exact")
+    exact = scan_conjecture(1, 20, "exact", rule="geometric-test")
     assert exact.certified and exact.n0 is None
 
 
@@ -348,7 +345,7 @@ def test_power_row_late_start_through_first_order():
         sq = series_power(f, k).coeffs
         assert _row_values(row) == list(sq)
         expected = next((n for n in range(2, 200) if sq[n] * sq[n] < sq[n - 1] * sq[n + 1]), None)
-        report = scan_conjecture_custom("late-start-test", k, 200, "exact")
+        report = scan_conjecture(k, 200, "exact", rule="late-start-test")
         assert report.certified and report.n0 == expected
 
 
@@ -652,6 +649,9 @@ def test_ladder_order_guard_refuses_before_any_work(monkeypatch):
         coefficient_c(2**21, 2)
     with pytest.raises(ValueError, match="limit"):
         _PowerRow(2, "sigma-minus-one").extend(2**21 - 1)
+    # a power takes the same bound, before its 2^21 rows are allocated
+    with pytest.raises(ValueError, match="power 2097151 is above"):
+        _PowerRow(2**21 - 1, "sigma-minus-one")
     assert built == []
 
 
@@ -707,7 +707,7 @@ def test_exact_scan_checks_the_order_it_doubled_from():
     register_series_rule(
         "bump-at-65-test", lambda n: RationalSeries([1 + 2 * (m == 65) for m in range(n + 1)])
     )
-    report = scan_conjecture_custom("bump-at-65-test", 1, 200, "exact")
+    report = scan_conjecture(1, 200, "exact", rule="bump-at-65-test")
     assert report.n0 == 64 and report.violations_checked == 63
 
 
@@ -725,11 +725,29 @@ def test_exact_scan_checks_up_to_n0():
         assert report.violations_checked == report.n0 - 1
 
 
-def test_scan_bound_limit():
-    with pytest.raises(ValueError, match=str(SCAN_LIMIT)):
-        scan_conjecture(30)
-    with pytest.raises(ValueError, match=str(SCAN_LIMIT)):
-        scan_conjecture(3, SCAN_LIMIT + 1, "exact")
+def test_scan_bound_limit(monkeypatch):
+    monkeypatch.setattr(analysis, "_PowerRow", lambda *args: pytest.fail("built a ladder"))
+    monkeypatch.setattr(analysis, "_float_base", lambda *args: pytest.fail("built a ball"))
+    for mode in ("exact", "adaptive-float"):
+        # the default bound 2^(k+1) is refused by the size of k, never formatted
+        with pytest.raises(ValueError, match=f"2\\^20001 of k=20000 is above the scan limit {SCAN_LIMIT}"):
+            scan_conjecture(20000, mode=mode)
+        with pytest.raises(ValueError, match=f"k=10000000000 is above the scan limit {SCAN_LIMIT}"):
+            scan_conjecture(10**10, mode=mode)
+        with pytest.raises(ValueError, match=f"k={SCAN_LIMIT + 1} is above the scan limit"):
+            scan_conjecture(SCAN_LIMIT + 1, 300, mode)
+        with pytest.raises(ValueError, match=str(SCAN_LIMIT)):
+            scan_conjecture(30, mode=mode)
+        with pytest.raises(ValueError, match=str(SCAN_LIMIT)):
+            scan_conjecture(3, SCAN_LIMIT + 1, mode)
+    assert analysis.default_scan_bound(17) == SCAN_LIMIT
+
+
+def test_power_far_above_its_order_costs_little():
+    # f^k starts at q^k: a fresh ladder rescales none of its empty rows
+    assert coefficient_c(300, 2000) == 0
+    report = scan_conjecture(20000, 300, "exact")
+    assert report.certified and report.n0 is None and report.violations_checked == 298
 
 
 # ---------------------------------------------------------------------------
@@ -767,18 +785,24 @@ register_series_rule(
     ("tiny-sigma-test", 3, 256, 21),
     ("huge-test", 1, 20, 2),
 ])
-def test_scan_extreme_magnitudes_certify_the_exact_n0(rule, k, n_max, n0):
-    exact = scan_conjecture_custom(rule, k, n_max, "exact")
-    floated = scan_conjecture_custom(rule, k, n_max, "adaptive-float")
+def test_scan_extreme_magnitudes_certify_the_exact_n0(monkeypatch, rule, k, n_max, n0):
+    exact = scan_conjecture(k, n_max, "exact", rule=rule)
+    floated = scan_conjecture(k, n_max, "adaptive-float", rule=rule)
     assert exact.n0 == floated.n0 == n0
     assert floated.certified and floated.violations_checked == n0 - 1
     # float64 alone decides none of the comparisons at the first violation
-    starved = scan_conjecture_custom(
-        rule, k, n_max, "adaptive-float", precision_cap=53, exact_fallback=0
-    )
+    monkeypatch.setattr(analysis, "_ld_available", lambda: False)
+    starved = scan_conjecture(k, n_max, "adaptive-float", rule=rule, exact_fallback=0)
     assert not starved.certified and starved.n0 is None
 
 
+@pytest.fixture
+def float64_only(monkeypatch):
+    """The scan as it runs where numpy's longdouble is float64: no 64-bit pass."""
+    monkeypatch.setattr(analysis, "_ld_available", lambda: False)
+
+
+@pytest.mark.usefixtures("float64_only")
 def test_float64_alone_certifies_k_up_to_12():
     # exact zeros below the leading index stay exact, so the leading
     # comparisons (0 >= 0) need no escalation either
@@ -786,18 +810,17 @@ def test_float64_alone_certifies_k_up_to_12():
         2: 6, 3: 21, 4: 39, 5: 73, 6: 135, 7: 251, 8: 475, 9: 917, 10: 1801, 11: 3595, 12: 7259,
     }
     for k, n0 in readme.items():
-        report = scan_conjecture(k, mode="adaptive-float", precision_cap=53, exact_fallback=0)
+        report = scan_conjecture(k, mode="adaptive-float", exact_fallback=0)
         assert report.certified and report.n0 == n0
         assert report.violations_checked == n0 - 1
 
 
+@pytest.mark.usefixtures("float64_only")
 def test_scan_uncertified_when_escalation_disabled():
     # the near-tie rule has an enclosure overlap at 53 bits at its violation;
-    # with the extended-precision rung capped away and no exact fallback, the
-    # scan must refuse to name n0 rather than guess
-    report = scan_conjecture_custom(
-        "near-tie-test", 3, 10, "adaptive-float", precision_cap=53, exact_fallback=0
-    )
+    # with no extended-precision rung and no exact fallback, the scan must
+    # refuse to name n0 rather than guess
+    report = scan_conjecture(3, 10, "adaptive-float", rule="near-tie-test", exact_fallback=0)
     assert not report.certified
     assert report.n0 is None
 
@@ -811,10 +834,10 @@ def test_scan_longdouble_rechecks_only_what_float64_left_open(monkeypatch):
     )
     # float64 certifies the violation at n = 8 and leaves n = 5 open; with no
     # exact fallback only the longdouble pass can certify n0 = 5
-    report = scan_conjecture_custom("near-tie-test", 3, 10, "adaptive-float", exact_fallback=0)
+    report = scan_conjecture(3, 10, "adaptive-float", rule="near-tie-test", exact_fallback=0)
     assert report.csv_row().split(",")[:3] == ["3", "5", "adaptive-float"]
     assert (report.n_max, report.certified, report.violations_checked) == (10, True, 4)
-    assert scan_conjecture_custom("near-tie-test", 3, 10, "exact").n0 == 5
+    assert scan_conjecture(3, 10, "exact", rule="near-tie-test").n0 == 5
     ld_orders = [order for dtype, order in calls if dtype == np.longdouble]
     assert 1 <= len(ld_orders) <= 4 and max(ld_orders) <= 6
 
@@ -889,9 +912,9 @@ def test_adaptive_float_never_contradicts_exact(coeffs, k, fallback):
     register_series_rule(
         "hypothesis-test", lambda n: RationalSeries((coeffs + [0] * n)[: n + 1])
     )
-    exact = scan_conjecture_custom("hypothesis-test", k, n_max, "exact")
-    floated = scan_conjecture_custom(
-        "hypothesis-test", k, n_max, "adaptive-float", exact_fallback=fallback
+    exact = scan_conjecture(k, n_max, "exact", rule="hypothesis-test")
+    floated = scan_conjecture(
+        k, n_max, "adaptive-float", rule="hypothesis-test", exact_fallback=fallback
     )
     if floated.certified:
         assert (floated.n0, floated.violations_checked) == (exact.n0, exact.violations_checked)

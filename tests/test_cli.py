@@ -19,10 +19,12 @@ def run(capsys, *argv):
 
 
 def test_parse_range():
-    assert parse_range("7") == (7,)
-    assert parse_range("2..5") == (2, 3, 4, 5)
-    with pytest.raises(ValueError):
-        parse_range("5..2")
+    assert parse_range("7") == range(7, 8)
+    assert parse_range("2..5") == range(2, 6)
+    assert len(parse_range("0..1000000000000")) == 10**12 + 1  # nothing is materialized
+    for text in ("5..2", "2..", "..5"):
+        with pytest.raises(ValueError):
+            parse_range(text)
 
 
 def test_qpoly_all_methods_agree(capsys):
@@ -79,6 +81,13 @@ def test_qpoly_enumeration_limit_exit(capsys):
     code, _, err = run(capsys, "qpoly", "--n", "40", "--method", "hooks")
     assert code == EXIT_ABORTED
     assert "32" in err
+
+
+def test_qpoly_long_range_is_refused_at_its_first_n(capsys):
+    # the range is walked, not built: n = 40 is refused before n = 41 exists
+    code, out, err = run(capsys, "qpoly", "--n", "40..1000000000", "--method", "hooks")
+    assert code == EXIT_ABORTED
+    assert out == "" and "32" in err
 
 
 def test_scan_exact_csv(capsys):
@@ -355,6 +364,8 @@ def test_q_table_size_above_limit_exits_2(capsys, monkeypatch, argv):
     assert f"above the Q table limit {darcais.TABLE_LIMIT}" in err
 
 
+# --precision-cap is no longer a scan flag either (see the test below); the
+# other commands keep refusing it
 @pytest.mark.parametrize("flag", [
     ("--mode", "exact"), ("--precision-cap", "64"), ("--exact-fallback", "10"), ("--jobs", "1"),
 ], ids=lambda flag: flag[0])
@@ -369,6 +380,14 @@ def test_scan_flags_are_refused_by_other_commands(capsys, argv, flag):
     assert out == "" and f"unrecognized arguments: {flag[0]}" in err
 
 
+def test_scan_refuses_the_removed_precision_cap(capsys):
+    # the 64-bit pass runs wherever longdouble is wider; no flag turns it off
+    with pytest.raises(SystemExit) as exc:
+        main(["scan", "--k", "2", "--precision-cap", "64"])
+    assert exc.value.code == EXIT_ABORTED
+    assert "unrecognized arguments: --precision-cap" in capsys.readouterr().err
+
+
 def test_scan_jobs_below_one_exits_2(capsys):
     code, out, err = run(capsys, "scan", "--k", "2..3", "--jobs", "0")
     assert code == EXIT_ABORTED
@@ -376,11 +395,12 @@ def test_scan_jobs_below_one_exits_2(capsys):
     assert "jobs must be >= 1" in err
 
 
-def test_invalid_precision_cap_with_jobs_exits_2(capsys):
-    code, out, err = run(capsys, "scan", "--k", "2..3", "--jobs", "2", "--precision-cap", "40")
+def test_worker_error_with_jobs_exits_2(capsys):
+    # raised in a worker process, reported like a serial refusal
+    code, out, err = run(capsys, "scan", "--k", "2..3", "--jobs", "2", "--n-max", "2")
     assert code == EXIT_ABORTED
     assert out == ""
-    assert "precision cap must be at least 53 bits" in err
+    assert "n_max must be >= 3" in err
 
 
 def test_series_dump_negative_order_exits_2(capsys):
@@ -391,18 +411,36 @@ def test_series_dump_negative_order_exits_2(capsys):
         assert "truncation order must be non-negative" in err
 
 
-def test_invalid_precision_cap(capsys):
-    code, _, err = run(capsys, "scan", "--k", "2", "--precision-cap", "40")
-    assert code == EXIT_ABORTED
-    assert "53" in err
-
-
 @pytest.mark.parametrize("mode", ["exact", "adaptive-float"])
 def test_scan_bound_above_limit_exits_2(capsys, mode):
     code, out, err = run(capsys, "scan", "--k", "30", "--mode", mode)
     assert code == EXIT_ABORTED
     assert out == ""
     assert "scan limit 262144" in err
+
+
+@pytest.mark.parametrize("mode", ["exact", "adaptive-float"])
+@pytest.mark.parametrize("argv", [
+    ("--k", "20000"), ("--k", "10000000000"), ("--k", "300000", "--n-max", "300"),
+], ids=lambda argv: "-".join(argv[1::2]))
+def test_scan_huge_k_exits_2_before_building(capsys, monkeypatch, mode, argv):
+    def built(*args):
+        raise AssertionError("the k check came too late")
+
+    monkeypatch.setattr(analysis, "_PowerRow", built)
+    monkeypatch.setattr(analysis, "_float_base", built)
+    code, out, err = run(capsys, "scan", *argv, "--mode", mode)
+    assert code == EXIT_ABORTED
+    assert out == ""
+    assert "scan limit 262144" in err
+
+
+def test_series_dump_order_above_scan_limit_exits_2(capsys, monkeypatch):
+    monkeypatch.setattr(series, "custom_series", lambda *args: pytest.fail("built the series"))
+    code, out, err = run(capsys, "series-dump", "--order", str(analysis.SCAN_LIMIT + 1))
+    assert code == EXIT_ABORTED
+    assert out == ""
+    assert f"above the scan limit {analysis.SCAN_LIMIT}" in err
 
 
 def test_scan_uncertified_exit_status(capsys):

@@ -11,7 +11,7 @@ import pytest
 
 import nekrasov
 from nekrasov import series
-from nekrasov.analysis import SCAN_LIMIT, scan_conjecture_custom
+from nekrasov.analysis import SCAN_LIMIT, scan_conjecture
 from nekrasov.partitions import partition_count
 from nekrasov.series import (
     _BLOCK,
@@ -241,6 +241,19 @@ def test_ball_series_from_fractions_encloses():
     assert all(lo[n] <= exact[n] <= hi[n] for n in range(31))
 
 
+@pytest.mark.parametrize("dtype", [np.float64, np.longdouble])
+def test_divisor_sum_series_equals_the_rule_built_ball(dtype):
+    # the float scan builds sigma_{-1} by the sieve, every other rule from
+    # its Fractions; for sigma_{-1} the two are the same ball
+    for n in (0, 1, 2, 3, 50, 1000, 8192):
+        sieved = BallSeries.divisor_sum_series(n, dtype)
+        ruled = BallSeries.from_fractions(custom_series("sigma-minus-one", n).coeffs, dtype)
+        assert sieved.mid.dtype == ruled.mid.dtype == dtype
+        assert np.array_equal(sieved.mid, ruled.mid), n
+        assert (sieved.eps, sieved.tau, sieved.lead, sieved.unit) == (
+            ruled.eps, ruled.tau, ruled.lead, ruled.unit), n
+
+
 @pytest.mark.parametrize(
     "value, shown",
     [
@@ -261,7 +274,7 @@ def test_scan_refuses_a_rule_too_long_for_str():
         "ten-to-5000-test", lambda n: RationalSeries([0, 1, Fraction(10**5000)] + [1] * (n - 2))
     )
     with pytest.raises(ValueError, match=re.escape("coefficient 2 = about 10^5000 is outside")):
-        scan_conjecture_custom("ten-to-5000-test", 2, 40, "adaptive-float")
+        scan_conjecture(2, 40, "adaptive-float", rule="ten-to-5000-test")
 
 
 def test_only_series_names_the_fraction_power_kernels():
