@@ -337,8 +337,11 @@ def coefficient_c(n: int, k: int) -> Fraction:
     """c_{n,k}: the coefficient of q^n in f(q)^k, exactly."""
     if k < 0 or n < 0:
         raise ValueError("indices must be non-negative")
+    if n < k:  # f starts at q^1
+        return Fraction(0)
     row = _sigma_power(k, n)
-    return Fraction(row.nums[n], row.denom**k)
+    num = row.nums[n]
+    return Fraction(num, row.denom**k) if num else Fraction(0)
 
 
 # ---------------------------------------------------------------------------

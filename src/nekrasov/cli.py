@@ -9,6 +9,7 @@ property, 2 = uncertified or aborted computation.
 from __future__ import annotations
 
 import argparse
+import collections
 import concurrent.futures
 import functools
 import json
@@ -110,11 +111,17 @@ def cmd_scan(args: argparse.Namespace) -> int:
     ks = parse_range(args.k)
     scan = functools.partial(analysis.scan_conjecture, n_max=args.n_max, mode=args.mode,
                              rule=args.rule, exact_fallback=args.exact_fallback)
+    reports = []
     if args.jobs > 1 and len(ks) > 1:
+        # at most `jobs` scans in flight: a refused k ends a long range after `jobs` submissions
+        pending = collections.deque()
         with concurrent.futures.ProcessPoolExecutor(max_workers=args.jobs) as pool:
-            reports = list(pool.map(scan, ks))
+            for k in ks:
+                pending.append(pool.submit(scan, k))
+                if len(pending) == args.jobs:
+                    reports.append(pending.popleft().result())
+            reports.extend(f.result() for f in pending)
     else:
-        reports = []
         for k in ks:
             reports.append(scan(k))
             print(f"scan: k={k} done in {int(reports[-1].elapsed * 1000)} ms", file=sys.stderr)

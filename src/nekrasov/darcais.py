@@ -12,9 +12,11 @@ Every route runs in integers over a known common denominator (n! for the
 recurrence, the trivial-leg hooks and the multiplicities, (n!)^2 for the
 hooks) and makes Fractions only for the values it returns.  An enumeration
 route writes each partition's term as prod (z + r) / prod r over its roots r
-and sums it as one packed integer product at z = 2^b (Kronecker
-substitution), with slots of b = bitlen(p(n) D) + n + 1 bits for its
-denominator D, which no coefficient can overflow.
+and sums the terms at z = 2^b (Kronecker substitution), with slots of
+b = bitlen(p(n) D) + n + 1 bits for its denominator D, which no coefficient
+can overflow.  It walks the partitions depth first, one block of equal parts
+(or one row of the diagram, for the hooks) per step, and carries the packed
+term of the roots so far down the walk: one packed multiply per walk step.
 """
 
 from __future__ import annotations
@@ -27,13 +29,7 @@ from fractions import Fraction
 from itertools import accumulate
 from operator import mul
 
-from .partitions import (
-    enumerate_partitions,
-    hook_lengths,
-    multiplicities,
-    partition_count,
-    trivial_leg_hooks,
-)
+from .partitions import partition_count
 from .series import RationalSeries, _PowerRow, sigma_sieve
 
 DEFAULT_ENUM_LIMIT = 32
@@ -87,17 +83,18 @@ class QPolynomial:
         )
 
 
-def _poly_sum_over_partitions(n: int, roots, fact_power: int, limit: int | None) -> QPolynomial:
-    """Sum prod (z + r) / prod r over the partitions of n, with rs = roots(part).
+def _packed_sum(n: int, fact_power: int, limit: int | None, walk) -> QPolynomial:
+    """Q_n from walk(n, D, z) = sum over the partitions of n of (D / prod r) prod (z + r).
 
-    Every prod r divides D = (n!)^fact_power (the squared hooks multiply to
-    (n!/f_lambda)^2, the trivial-leg hooks to factorials of row-length
-    differences, and the 1..k_j to prod k_j! with sum k_j <= n), so the sum
-    is taken in integers as sum (D / prod r) prod (z + r) at z = 2^b: one
-    packed product per partition, read back as n + 1 slots of b bits.  Each
-    term has non-negative coefficients summing to D prod (1 + 1/r) <= D 2^n
-    (at most n roots r >= 1), so every coefficient of the sum is at most
-    p(n) D 2^n < 2^(b-1) and no slot carries into the next.
+    r runs over the partition's roots (squared hooks, trivial-leg hooks, or
+    1..k_j for each part multiplicity k_j).  Every prod r divides
+    D = (n!)^fact_power (the squared hooks multiply to (n!/f_lambda)^2, the
+    trivial-leg hooks to factorials of row-length differences, and the 1..k_j
+    to prod k_j! with sum k_j <= n), so the walk sums in integers at z = 2^b,
+    read back as n + 1 slots of b bits.  Each term has non-negative
+    coefficients summing to D prod (1 + 1/r) <= D 2^n (at most n roots
+    r >= 1), so every coefficient of the sum is at most p(n) D 2^n < 2^(b-1)
+    and no slot carries into the next.
     """
     if n < 0:
         raise ValueError("n must be non-negative")
@@ -107,28 +104,101 @@ def _poly_sum_over_partitions(n: int, roots, fact_power: int, limit: int | None)
     denom = math.factorial(n) ** fact_power
     b = (partition_count(n) * denom).bit_length() + n + 1
     z = 1 << b
-    total = 0
-    for part in enumerate_partitions(n):
-        rs = roots(part)
-        total += (denom // math.prod(rs)) * math.prod([z + r for r in rs])
+    total = walk(n, denom, z)
     return QPolynomial(n, tuple(Fraction(total >> (b * k) & (z - 1), denom) for k in range(n + 1)))
+
+
+def _blocks(z: int, n: int, power: int) -> tuple[list[int], list[int]]:
+    """([(z + 1^p)...(z + g^p) for g in 0..n], [(g!)^p for g in 0..n]), p = power."""
+    roots = [r**power for r in range(1, n + 1)]
+    return (list(accumulate(roots, lambda acc, r: acc * (z + r), initial=1)),
+            list(accumulate(roots, mul, initial=1)))
+
+
+def _block_walk(n: int, denom: int, z: int, by_gap: bool) -> int:
+    """The packed sum over the partitions of n whose roots come in blocks 1..g.
+
+    A depth-first walk adds one block of k equal parts j per step, the part
+    sizes ascending, and carries (D / prod r) prod (z + r) over the roots so
+    far as one integer: a step divides it by g! and multiplies it by
+    (z + 1)...(z + g).  For the multiplicities g = k.  For the trivial-leg
+    hooks g = j - i, with i the next smaller part size or 0: only the last row
+    of the block has cells of leg 0 and their hooks are 1..j - i.  A step
+    that leaves a remainder leaves more than j, so every branch ends in a
+    partition (the remainder as one part).
+    """
+    blocks, facts = _blocks(z, n, 1)
+    total = 0
+
+    def step(rem: int, prev: int, carried: int) -> None:
+        nonlocal total
+        g = rem - prev if by_gap else min(rem, 1)  # the remainder as one part (none for n = 0)
+        total += carried // facts[g] * blocks[g]
+        for j in range(prev + 1, rem // 2 + 1):
+            if by_gap:
+                nxt = carried // facts[j - prev] * blocks[j - prev]
+            for k in range(1, rem // j + 1):
+                r = rem - j * k
+                if 0 < r <= j:
+                    continue
+                if not by_gap:
+                    nxt = carried // facts[k] * blocks[k]
+                if r:
+                    step(r, j, nxt)
+                else:
+                    total += nxt
+
+    step(n, 0, denom)
+    return total
+
+
+def _hook_walk(n: int, denom: int, z: int) -> int:
+    """The packed sum of (D / prod h^2) prod (z + h^2) over the hooks h of every partition of n.
+
+    A depth-first walk builds lambda from the bottom row up.  Over rows whose
+    top row has length t and whose columns have heights col, a new top row
+    of length L >= t has the hooks L - j + col[j] for j < t, then L - t, ...,
+    1, and leaves every hook below it unchanged: one step divides the carried
+    integer by the row's squared hooks and multiplies it by their factors.
+    lambda and its conjugate have the same hooks, so only the partitions with
+    lambda_1 >= l(lambda) are walked, with weight 2 when lambda_1 > l(lambda).
+    """
+    blocks, facts = _blocks(z, n, 2)
+    total = 0
+
+    def place(carried: int, base: list[int], L: int) -> int:
+        sq = [(L + c) ** 2 for c in base]
+        g = L - len(base)
+        return carried // (math.prod(sq) * facts[g]) * (blocks[g] * math.prod([z + w for w in sq]))
+
+    def step(rem: int, depth: int, base: list[int], carried: int) -> None:
+        # depth rows hold n - rem cells; base[j] = col[j] - j under their top row
+        nonlocal total
+        top = len(base)
+        # a row below the last leaves at least its own length, and depth + 2 cells for
+        # a last row no shorter than lambda is tall
+        for L in range(max(top, 1), min(rem // 2, rem - depth - 2) + 1):
+            above = [c + 1 for c in base] + list(range(1 - top, 1 - L, -1))
+            step(rem - L, depth + 1, above, place(carried, base, L))
+        total += place(carried, base, rem) << (rem > depth + 1)
+
+    step(n, 0, [], denom)
+    return total
 
 
 def q_via_hooks(n: int, limit: int | None = None) -> QPolynomial:
     """Q_n from the full hook products prod (1 + z/h^2) over all partitions."""
-    return _poly_sum_over_partitions(n, lambda p: [h * h for h in hook_lengths(p)], 2, limit)
+    return _packed_sum(n, 2, limit, _hook_walk)
 
 
 def q_via_trivial_hooks(n: int, limit: int | None = None) -> QPolynomial:
     """Q_n from products prod (1 + z/h) over the trivial-leg hooks only."""
-    return _poly_sum_over_partitions(n, trivial_leg_hooks, 1, limit)
+    return _packed_sum(n, 1, limit, lambda n, denom, z: _block_walk(n, denom, z, by_gap=True))
 
 
 def q_via_multiplicities(n: int, limit: int | None = None) -> QPolynomial:
     """Q_n from prod_j binom(k_j + z, k_j) = prod_j (z+1)...(z+k_j)/k_j! over all partitions."""
-    return _poly_sum_over_partitions(
-        n, lambda p: [r for k in multiplicities(p).values() for r in range(1, k + 1)], 1, limit
-    )
+    return _packed_sum(n, 1, limit, lambda n, denom, z: _block_walk(n, denom, z, by_gap=False))
 
 
 class _QTable:

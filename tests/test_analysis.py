@@ -750,6 +750,23 @@ def test_power_far_above_its_order_costs_little():
     assert report.certified and report.n0 is None and report.violations_checked == 298
 
 
+def test_coefficient_below_its_power_builds_no_ladder(monkeypatch):
+    # c_{n,k} = 0 for n < k, with no ladder and no Fraction over denom^k
+    built = []
+
+    class CountingRow(_PowerRow):
+        def __init__(self, *args):
+            built.append(args)
+            super().__init__(*args)
+
+    monkeypatch.setattr(analysis, "_PowerRow", CountingRow)
+    assert coefficient_c(300, 20000) == 0
+    assert coefficient_c(0, 1) == 0
+    assert built == []
+    assert coefficient_c(3, 2) == 3  # the counter sees a ladder that is built
+    assert built == [(2, "sigma-minus-one")]
+
+
 # ---------------------------------------------------------------------------
 # Certified float scan: escalation, merged certificates, extreme magnitudes
 # ---------------------------------------------------------------------------

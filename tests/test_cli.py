@@ -1,5 +1,6 @@
 """CLI command behavior: outputs, formats, exit codes, determinism."""
 
+import concurrent.futures
 import dataclasses
 import hashlib
 import json
@@ -66,6 +67,15 @@ def test_qpoly_all_json_golden(capsys):
     assert code == EXIT_OK
     digest = hashlib.sha256(out.encode()).hexdigest()
     assert digest == "e82705319142d838270da54f7bb7010d21d05c4ee8e6d37539db04a06bf5ac2f"
+
+
+def test_qpoly_all_json_golden_to_22(capsys):
+    # the benchmark's agreement command, as the per-partition packed products
+    # printed it before the depth-first partition walks replaced them
+    code, out, _ = run(capsys, "qpoly", "--n", "0..22", "--method", "all", "--format", "json")
+    assert code == EXIT_OK
+    digest = hashlib.sha256(out.encode()).hexdigest()
+    assert digest == "0f1b5b78e7b5672b914d3aaf17198002b056b113e83a59fe602a0bf49cadb893"
 
 
 def test_qpoly_csv(capsys):
@@ -401,6 +411,41 @@ def test_worker_error_with_jobs_exits_2(capsys):
     assert code == EXIT_ABORTED
     assert out == ""
     assert "n_max must be >= 3" in err
+
+
+class _InlinePool(concurrent.futures.Executor):
+    """Runs each call at submission and counts the submissions; Executor.map submits through it."""
+
+    submitted = 0
+
+    def __init__(self, max_workers=None):
+        self.max_workers = max_workers
+
+    def submit(self, fn, *args, **kwargs):
+        type(self).submitted += 1
+        future = concurrent.futures.Future()
+        try:
+            future.set_result(fn(*args, **kwargs))
+        except Exception as exc:
+            future.set_exception(exc)
+        return future
+
+
+def test_scan_jobs_keep_at_most_jobs_in_flight(capsys, monkeypatch):
+    # every k of the range is refused; the run must stop after the first jobs
+    # submissions, not submit the whole range first
+    monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", _InlinePool)
+    monkeypatch.setattr(_InlinePool, "submitted", 0)
+    code, out, err = run(capsys, "scan", "--k", "300000..320000", "--jobs", "3")
+    assert code == EXIT_ABORTED
+    assert out == ""
+    assert "262144" in err
+    assert _InlinePool.submitted <= 3
+    # a range that succeeds comes back in order, as without --jobs
+    code, out_jobs, _ = run(capsys, "scan", "--k", "2..6", "--jobs", "2", "--mode", "exact")
+    assert code == EXIT_OK
+    code, out_serial, _ = run(capsys, "scan", "--k", "2..6", "--mode", "exact")
+    assert _strip_elapsed(out_jobs) == _strip_elapsed(out_serial)
 
 
 def test_series_dump_negative_order_exits_2(capsys):

@@ -13,7 +13,7 @@ from nekrasov.darcais import (
     TABLE_LIMIT,
     EnumerationLimitError,
     QPolynomial,
-    _poly_sum_over_partitions,
+    _packed_sum,
     _QTable,
     a_cross_recursion,
     coefficient_series,
@@ -372,8 +372,12 @@ def test_packed_routes_wide_slots(n):
 
 
 def test_packed_slots_hold_the_extreme_term():
-    # n roots equal to 1 reach the slot bound D prod (1 + 1/r) = D 2^n, so the
-    # sum is p(n) (1 + z)^n with its largest coefficient p(n) binom(n, n/2)
+    # n roots equal to 1 reach the slot bound D prod (1 + 1/r) = D 2^n, so a walk
+    # adding D (1 + z)^n per partition sums p(n) (1 + z)^n, whose largest
+    # coefficient p(n) binom(n, n/2) D must come back from the real slot width
+    def extreme_walk(n, denom, z):
+        return sum(denom * (z + 1) ** n for _ in enumerate_partitions(n))
+
     for n in range(25):
         expected = tuple(Fraction(partition_count(n) * math.comb(n, k)) for k in range(n + 1))
-        assert _poly_sum_over_partitions(n, lambda p: [1] * n, 1, None).coeffs == expected
+        assert _packed_sum(n, 1, None, extreme_walk).coeffs == expected
