@@ -55,7 +55,6 @@ from .series import (
 DEFAULT_EXACT_FALLBACK = 400
 SCAN_LIMIT = 2**18  # the largest n_max and k a scan accepts: every default bound up to k = 17
 SCAN_CSV_HEADER = "k,n0,mode,elapsed_ms,n_max"
-RATIO_CSV_HEADER = "k,n,ratio_lo,ratio_hi,envelope"
 
 
 # ---------------------------------------------------------------------------
@@ -158,12 +157,6 @@ class RatioReport:
     ratio_hi: float
     envelope: float
     certification: str = "exact-over-dyadic-enclosure"
-
-    def csv_row(self) -> str:
-        return (
-            f"{self.k},{self.n},{self.ratio_lo:.17g},"
-            f"{self.ratio_hi:.17g},{self.envelope:.17g}"
-        )
 
 
 @dataclass(frozen=True)
@@ -429,9 +422,11 @@ def surrogate_binomial_sequence(k: int, n_lo: int, n_hi: int) -> list[Fraction]:
 
 def surrogate_truncated_sequence(k: int, n_lo: int, n_hi: int) -> list[Fraction]:
     """Values of the truncated surrogate over a range, one row fetch."""
-    if n_lo < 27:
-        raise ValueError("requires n_lo >= 27")
-    row = _sigma_power(k, max(n_hi - 26, 1))
+    if n_lo < 27 or k < 0:
+        raise ValueError("requires n_lo >= 27 and k >= 0")
+    if k > n_hi - 26:  # c_{i,k} = 0 for every i <= n_hi - 26
+        return [Fraction(0)] * (n_hi - n_lo + 1)
+    row = _sigma_power(k, n_hi - 26)
     denom = row.denom**k * math.factorial(k)
     return [
         Fraction(sum(partition_count(n - i) * row.nums[i] for i in range(n - 25)), denom)

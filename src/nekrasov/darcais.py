@@ -8,15 +8,16 @@ of Heim and Neuhauser (Integers 18, 2018), which is q d/dq of the product.
 The recurrence is the designated route for large n, up to TABLE_LIMIT; the
 enumeration methods are capped by a configurable partition budget.
 
-Every route runs in integers over a known common denominator (n! for the
-recurrence, the trivial-leg hooks and the multiplicities, (n!)^2 for the
-hooks) and makes Fractions only for the values it returns.  An enumeration
-route writes each partition's term as prod (z + r) / prod r over its roots r
-and sums the terms at z = 2^b (Kronecker substitution), with slots of
-b = bitlen(p(n) D) + n + 1 bits for its denominator D, which no coefficient
-can overflow.  It walks the partitions depth first, one block of equal parts
-(or one row of the diagram, for the hooks) per step, and carries the packed
-term of the roots so far down the walk: one packed multiply per walk step.
+Every route runs in integers over a known common denominator (N! for the
+recurrence table of Q_0..Q_N, n! for the trivial-leg hooks and the
+multiplicities, (n!)^2 for the hooks) and makes Fractions only for the
+values it returns.  An enumeration route writes each partition's term as
+prod (z + r) / prod r over its roots r and sums the terms at z = 2^b
+(Kronecker substitution), with slots of b = bitlen(p(n) D) + n + 1 bits for
+its denominator D, which no coefficient can overflow.  It walks the
+partitions depth first, one block of equal parts (or one row of the
+diagram, for the hooks) per step, and carries the packed term of the roots
+so far down the walk: one packed multiply per walk step.
 """
 
 from __future__ import annotations
@@ -33,7 +34,7 @@ from .partitions import partition_count
 from .series import RationalSeries, _PowerRow, sigma_sieve
 
 DEFAULT_ENUM_LIMIT = 32
-TABLE_LIMIT = 500  # the largest n of the recurrence table: about 125 MB peak RSS at the top
+TABLE_LIMIT = 500  # the largest n of the recurrence table: about 150 MB peak RSS at the top
 SHARED_POWERS = 3  # a_cross_recursion keeps f^1..f^3 between calls; taller powers are built per call
 ENUM_LIMIT_ENV = "NEKRASOV_ENUM_LIMIT"
 
@@ -202,20 +203,24 @@ def q_via_multiplicities(n: int, limit: int | None = None) -> QPolynomial:
 
 
 class _QTable:
-    """Append-only integer table of R_n = n! Q_n(z), grown to exactly the n asked for.
+    """Append-only integer table of a_n = D Q_n(z) over D = N!, grown to exactly the N asked for.
 
     Row n follows from the Heim-Neuhauser recurrence n Q_n = (z+1) sum_j
-    sigma(j) Q_{n-j} as R_n = (z+1) sum_j sigma(j) (n-1)!/(n-j)! R_{n-j},
-    all in integers.  Appending row n also stores its Fraction row
-    A[n][.] = R_n / n!, so warm reads return stored values; a column A[.][k]
-    is read off the rows.  `a_cross_recursion` reads f^1..f^SHARED_POWERS
-    from one sigma_{-1} ladder, `series._PowerRow` (the package's one exact
-    kernel for powers of f), extended in place to the table's n_max.  The tables are append-only
-    and unlocked: the package runs single-threaded (scan --jobs uses processes).
+    sigma(j) Q_{n-j} as n a_n = (z+1) sum_j sigma(j) a_{n-j}: small weights
+    and one division by n, exact because n! Q_n has integer coefficients and
+    n <= N.  Growing the table to N' first rescales every stored entry by
+    N'!/N!, as `series._PowerRow.extend` rescales its rows.  Appending row n
+    also stores its Fraction row A[n][.] = a_n / D, so warm reads return
+    stored values; a column A[.][k] is read off the rows.  `a_cross_recursion`
+    reads f^1..f^SHARED_POWERS from one sigma_{-1} ladder, `series._PowerRow`
+    (the package's one exact kernel for powers of f), extended in place to
+    the table's n_max.  The tables are append-only and unlocked: the package
+    runs single-threaded (scan --jobs uses processes).
     """
 
     def __init__(self):
-        self.int_cols: list[list[int]] = []  # int_cols[k][m - k] = R_m[k] = m! A[m][k]
+        self.int_cols: list[list[int]] = []  # int_cols[k][m - k] = a_m[k] = D A[m][k]
+        self.denom = 1  # D = n_max!
         self.rows: list[tuple[Fraction, ...]] = []  # rows[n][k] = A[n][k]
         self.powers = _PowerRow(SHARED_POWERS, "sigma-minus-one")  # never freed
 
@@ -224,27 +229,31 @@ class _QTable:
         return len(self.rows) - 1
 
     def ensure(self, n_max: int) -> None:
-        """Append the rows up to n_max: R_n and A[n][.]."""
+        """Move the table to D = n_max! and append the rows up to n_max: a_n and A[n][.]."""
         if n_max <= self.n_max:
             return
         if n_max > TABLE_LIMIT:
             raise ValueError(f"n={n_max} is above the Q table limit {TABLE_LIMIT}")
-        sigma = sigma_sieve(n_max)
+        denom = math.factorial(n_max)
+        scale, self.denom = denom // self.denom, denom
+        for col in self.int_cols:
+            col[:] = [c * scale for c in col]
+        sigma = sigma_sieve(n_max)[1:]
         for n in range(self.n_max + 1, n_max + 1):
             if n == 0:
-                ints = [1]
+                ints = [denom]
             else:
-                # w[j-1] = sigma(j) (n-1)!/(n-j)!, and s[k] = sum_j w[j-1] R_{n-j}[k]:
-                # column k holds R_k..R_{n-1}
-                w = list(map(mul, sigma[1 : n + 1], accumulate(range(n - 1, 0, -1), mul, initial=1)))
-                s = [sum(map(mul, w, reversed(col))) for col in self.int_cols]
-                ints = [s[0]] + [s[k] + s[k - 1] for k in range(1, n)] + [s[n - 1]]
-            fact = math.factorial(n)
-            row = tuple(Fraction(c, fact) for c in ints)
+                # s[k + 1] = sum_j sigma(j) a_{n-j}[k]: column k holds a_k..a_{n-1}
+                s = [0] + [sum(map(mul, sigma, reversed(col))) for col in self.int_cols] + [0]
+                ints = []
+                for lo, hi in zip(s, s[1:]):  # n a_n[k] = s[k] + s[k + 1]
+                    c, rem = divmod(lo + hi, n)
+                    assert rem == 0, "the recurrence divides exactly"
+                    ints.append(c)
             for col, c in zip(self.int_cols, ints):
                 col.append(c)
             self.int_cols.append([ints[n]])
-            self.rows.append(row)
+            self.rows.append(tuple(Fraction(c, denom) for c in ints))
 
 
 _ladder = _QTable()
@@ -253,7 +262,7 @@ _ladder = _QTable()
 def q_via_recursion(n: int) -> QPolynomial:
     """Q_n from the Heim-Neuhauser recurrence n Q_n = (z+1) sum_j sigma(j) Q_{n-j}.
 
-    The rows are computed once, in integers as n! Q_n, and cached; no
+    The rows are computed once, in integers over one denominator, and cached; no
     partition is enumerated, so this is the route for large n.
     """
     if n < 0:
@@ -280,11 +289,11 @@ def coefficient_series(k: int, n_max: int) -> RationalSeries:
 def a_cross_recursion(a: int, b: int, n: int) -> Fraction:
     """A_{n,b} = (a!/b!) sum_i A_{n-i,a} c_{i,b-a}, with c_{i,j} = [q^i] f^j.
 
-    Computed in integers from column a of the table and row j = b - a of the
-    power ladder, rows[j][i] = c_{i,j} denom^j (about j log2(denom) bits, so a
-    row above SHARED_POWERS is built for this call alone, two banded rows at
-    a time):
-    A_{n,b} = a! sum_i perm(n, i) R_{n-i}[a] rows[j][i] / (b! n! denom^j).
+    Computed in integers from column a of the table, a_m[a] = D A_{m,a}, and
+    row j = b - a of the power ladder, rows[j][i] = c_{i,j} denom^j (about
+    j log2(denom) bits, so a row above SHARED_POWERS is built for this call
+    alone, two banded rows at a time):
+    A_{n,b} = a! sum_i a_{n-i}[a] rows[j][i] / (b! D denom^j).
     """
     if not (0 <= a < b <= n):
         raise ValueError("requires 0 <= a < b <= n")
@@ -294,13 +303,9 @@ def a_cross_recursion(a: int, b: int, n: int) -> Fraction:
     powers = _ladder.powers if shared else _PowerRow(j, "sigma-minus-one")
     # the shared rows grow with the table, so later requests up to its n_max extend nothing
     powers.extend(_ladder.n_max if shared else n - a, free=not shared)
-    col_a = _ladder.int_cols[a]  # col_a[m - a] = R_m[a]
-    c = powers.rows[j]
-    acc = 0  # sum_{t >= i} perm(n, t) / perm(n, i) R_{n-t}[a] rows[j][t], by Horner's rule
-    for i in range(n - a, j - 1, -1):
-        acc = acc * (n - i) + col_a[n - i - a] * c[i]
-    num = math.factorial(a) * math.perm(n, j) * acc
-    return Fraction(num, math.factorial(b) * math.factorial(n) * powers.denom**j)
+    col_a = _ladder.int_cols[a]  # col_a[m - a] = a_m[a], read from m = n down to m = a
+    acc = sum(map(mul, col_a[n - a :: -1], powers.rows[j]))
+    return Fraction(math.factorial(a) * acc, math.factorial(b) * _ladder.denom * powers.denom**j)
 
 
 _METHODS = {

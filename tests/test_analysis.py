@@ -182,15 +182,6 @@ def test_scan_exact_fallback_decides_ties():
     assert exact.certified and exact.n0 is None
 
 
-def test_ratio_report_csv_shape():
-    report = partial_sum_ratio(2, 16)
-    fields = report.csv_row().split(",")
-    assert fields[0] == "2" and fields[1] == "16"
-    assert float(fields[2]) == report.ratio_lo
-    assert float(fields[3]) == report.ratio_hi
-    assert float(fields[4]) == report.envelope
-
-
 def test_coefficient_c_values():
     assert coefficient_c(3, 2) == 3
     assert coefficient_c(7, 2) == Fraction(184, 15)
@@ -256,6 +247,13 @@ def test_surrogate_sequences_match_single_values():
     assert seq == [surrogate_binomial(n, 3) for n in range(27, 61)]
     seq = surrogate_truncated_sequence(4, 27, 50)
     assert seq == [surrogate_truncated(n, 4) for n in range(27, 51)]
+
+
+def test_surrogate_truncated_sequence_refuses_a_negative_power():
+    with pytest.raises(ValueError, match="k >= 0"):
+        surrogate_truncated_sequence(-1, 27, 30)
+    with pytest.raises(ValueError, match="k >= 0"):
+        surrogate_truncated(30, -1)
 
 
 def test_surrogate_binomial_log_concave_k3():
@@ -765,6 +763,24 @@ def test_coefficient_below_its_power_builds_no_ladder(monkeypatch):
     assert built == []
     assert coefficient_c(3, 2) == 3  # the counter sees a ladder that is built
     assert built == [(2, "sigma-minus-one")]
+
+
+def test_surrogate_above_its_power_builds_no_ladder(monkeypatch):
+    # every term is 0 when k > n_hi - 26: no ladder and no Fraction over denom^k k!
+    built = []
+
+    class CountingRow(_PowerRow):
+        def __init__(self, *args):
+            built.append(args)
+            super().__init__(*args)
+
+    monkeypatch.setattr(analysis, "_PowerRow", CountingRow)
+    assert surrogate_truncated_sequence(5, 27, 30) == [0, 0, 0, 0]
+    assert surrogate_truncated_sequence(20000, 27, 300) == [0] * 274
+    assert surrogate_truncated(28, 3) == 0
+    assert built == []
+    assert surrogate_truncated_sequence(4, 27, 30)[-1] > 0  # the counter sees a ladder that is built
+    assert built == [(4, "sigma-minus-one")]
 
 
 # ---------------------------------------------------------------------------

@@ -78,6 +78,15 @@ def test_qpoly_all_json_golden_to_22(capsys):
     assert digest == "0f1b5b78e7b5672b914d3aaf17198002b056b113e83a59fe602a0bf49cadb893"
 
 
+def test_qpoly_recursion_json_golden_to_120(capsys):
+    # the recursion route as the falling-factorial table R_n = n! Q_n printed it,
+    # before the table moved to one common denominator with small weights
+    code, out, _ = run(capsys, "qpoly", "--n", "0..120", "--format", "json")
+    assert code == EXIT_OK
+    digest = hashlib.sha256(out.encode()).hexdigest()
+    assert digest == "093105e4ee2fbbe53256559d78a0db6b8d5626ae12c0259e5c62de6f94b3339b"
+
+
 def test_qpoly_csv(capsys):
     code, out, _ = run(capsys, "qpoly", "--n", "2", "--method", "hooks",
                        "--format", "csv")

@@ -4,6 +4,8 @@ import json
 import math
 import random
 from fractions import Fraction
+from itertools import accumulate
+from operator import mul
 
 import pytest
 
@@ -34,10 +36,12 @@ from nekrasov.partitions import (
 )
 from nekrasov.series import (
     RationalSeries,
+    _PowerRow,
     f_series,
     partition_series,
     series_multiply,
     series_power,
+    sigma_sieve,
 )
 from nekrasov.stirling import q_coeff_numerators, q_coeffs
 
@@ -323,6 +327,96 @@ def test_table_limit_refused_before_allocating():
     ):
         with pytest.raises(ValueError, match=f"Q table limit {TABLE_LIMIT}"):
             call()
+
+
+def test_refusal_leaves_a_grown_table_alone():
+    # the refusal comes before the rescale: neither D nor a stored entry moves
+    table = _QTable()
+    table.ensure(40)
+    denom, cols = table.denom, [list(col) for col in table.int_cols]
+    with pytest.raises(ValueError, match=f"Q table limit {TABLE_LIMIT}"):
+        table.ensure(TABLE_LIMIT + 1)
+    assert table.n_max == 40 and table.denom == denom == math.factorial(40)
+    assert table.int_cols == cols
+
+
+# ---------------------------------------------------------------------------
+# The falling-factorial table that the common-denominator table replaced,
+# kept as the oracle
+# ---------------------------------------------------------------------------
+
+class FallingFactorialTable:
+    """R_n = n! Q_n(z), each row over its own n!, from the recurrence
+    R_n = (z+1) sum_j sigma(j) (n-1)!/(n-j)! R_{n-j} with big weights."""
+
+    def __init__(self):
+        self.cols: list[list[int]] = []  # cols[k][m - k] = R_m[k]
+
+    def ensure(self, n_max: int) -> None:
+        sigma = sigma_sieve(n_max)
+        for n in range(len(self.cols), n_max + 1):
+            if n == 0:
+                ints = [1]
+            else:
+                # w[j-1] = sigma(j) (n-1)!/(n-j)!
+                w = list(map(mul, sigma[1 : n + 1], accumulate(range(n - 1, 0, -1), mul, initial=1)))
+                s = [sum(map(mul, w, reversed(col))) for col in self.cols]
+                ints = [s[0]] + [s[k] + s[k - 1] for k in range(1, n)] + [s[n - 1]]
+            for col, c in zip(self.cols, ints):
+                col.append(c)
+            self.cols.append([ints[n]])
+
+    def a_cross(self, a: int, b: int, n: int) -> Fraction:
+        """A_{n,b} = a! sum_i perm(n, i) R_{n-i}[a] c_{i,j} denom^j / (b! n! denom^j), j = b - a."""
+        self.ensure(n)
+        j = b - a
+        powers = _PowerRow(j, "sigma-minus-one")
+        powers.extend(n - a, free=True)
+        col_a, c = self.cols[a], powers.rows[j]
+        acc = 0  # sum_{t >= i} perm(n, t) / perm(n, i) R_{n-t}[a] c[t], by Horner's rule
+        for i in range(n - a, j - 1, -1):
+            acc = acc * (n - i) + col_a[n - i - a] * c[i]
+        num = math.factorial(a) * math.perm(n, j) * acc
+        return Fraction(num, math.factorial(b) * math.factorial(n) * powers.denom**j)
+
+
+@pytest.fixture(scope="module")
+def falling_120():
+    oracle = FallingFactorialTable()
+    oracle.ensure(120)
+    return oracle
+
+
+def assert_matches_falling(table: _QTable, oracle: FallingFactorialTable) -> None:
+    """a_m[k] m! == R_m[k] D for every stored entry, with D = n_max!."""
+    assert table.denom == math.factorial(table.n_max)
+    assert len(table.int_cols) == table.n_max + 1
+    for k, col in enumerate(table.int_cols):
+        assert len(col) == table.n_max + 1 - k
+        for m, c in enumerate(col, k):
+            assert c * math.factorial(m) == oracle.cols[k][m - k] * table.denom
+
+
+def test_table_matches_falling_factorial_oracle(monkeypatch, falling_120):
+    grown = _QTable()
+    for n in (30, 10, 90, 50):
+        grown.ensure(n)
+        assert_matches_falling(grown, falling_120)
+    built = _QTable()
+    built.ensure(120)
+    assert_matches_falling(built, falling_120)
+    rng = random.Random(16)
+    requests = [(0, 1, 1), (0, 120, 120), (119, 120, 120), (0, 60, 120), (3, 6, 90)]
+    for _ in range(40):
+        n = rng.randint(1, 120)
+        b = rng.randint(1, n)
+        requests.append((rng.randrange(b), b, n))
+    for table in (grown, built):  # the grown table moves on from 90 to 120 on the way
+        monkeypatch.setattr(darcais, "_ladder", table)
+        for a, b, n in requests:
+            assert a_cross_recursion(a, b, n) == falling_120.a_cross(a, b, n)
+    assert_matches_falling(grown, falling_120)
+    assert grown.int_cols == built.int_cols
 
 
 # ---------------------------------------------------------------------------
