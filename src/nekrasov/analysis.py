@@ -54,7 +54,6 @@ from .series import (
 
 DEFAULT_EXACT_FALLBACK = 400
 SCAN_LIMIT = 2**18  # the largest n_max and k a scan accepts: every default bound up to k = 17
-SCAN_CSV_HEADER = "k,n0,mode,elapsed_ms,n_max"
 
 
 # ---------------------------------------------------------------------------
@@ -125,11 +124,6 @@ class ScanReport:
     violations_checked: int
     elapsed: float
     rule: str = "sigma-minus-one"
-
-    def csv_row(self) -> str:
-        mode = self.mode_of_certification if self.certified else "uncertified"
-        n0 = "" if self.n0 is None else str(self.n0)
-        return f"{self.k},{n0},{mode},{int(self.elapsed * 1000)},{self.n_max}"
 
     def to_dict(self) -> dict:
         return {

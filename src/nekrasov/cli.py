@@ -16,8 +16,9 @@ import json
 import math
 import sys
 from fractions import Fraction
-from operator import mul
-from typing import Callable, Sequence
+from itertools import chain
+from operator import itemgetter, mul
+from typing import Callable, Iterable, Sequence
 
 from . import analysis, darcais, series, stirling
 from .partitions import enumerate_partitions, multiplicities, partition_count
@@ -29,6 +30,7 @@ EXIT_ABORTED = 2
 FORMATS = ("csv", "json", "tsv")
 METHOD_CHOICES = darcais.method_names() + ["all"]
 SUITES = ("identities", "logconcave", "stirling", "all")
+SCAN_COLUMNS = ("k", "n0", "mode", "elapsed_ms", "n_max")  # the to_dict() keys of a scan row
 
 
 def parse_range(text: str) -> range:
@@ -41,16 +43,27 @@ def parse_range(text: str) -> range:
     return range(lo, hi + 1)
 
 
-def _emit(text: str, out: str | None) -> None:
-    if out is None:
-        sys.stdout.write(text)
-        if not text.endswith("\n"):
-            sys.stdout.write("\n")
+def _write(args: argparse.Namespace, payload: Callable[[], object], header: Sequence[str],
+           rows: Iterable[Sequence], dump: Callable[[], Iterable[str]] | None = None) -> None:
+    """Print a result to stdout or --out in --format, building only what that format prints.
+
+    json dumps payload(); csv prints the header and the rows, fields joined by
+    commas and None as an empty field; tsv prints the lines of dump() for a
+    command that has a dump format, and otherwise the csv lines joined by tabs.
+    """
+    if args.format == "json":
+        lines = [json.dumps(payload(), separators=(",", ":"))]
+    elif args.format == "tsv" and dump is not None:
+        lines = dump()
     else:
-        with open(out, "w") as fh:
-            fh.write(text)
-            if not text.endswith("\n"):
-                fh.write("\n")
+        sep = "," if args.format == "csv" else "\t"
+        lines = (sep.join("" if v is None else str(v) for v in row) for row in chain([header], rows))
+    text = "\n".join(lines)
+    if args.out is None:
+        print(text)
+    else:
+        with open(args.out, "w") as fh:
+            print(text, file=fh)
 
 
 # ---------------------------------------------------------------------------
@@ -59,42 +72,35 @@ def _emit(text: str, out: str | None) -> None:
 
 def cmd_qpoly(args: argparse.Namespace) -> int:
     ns = parse_range(args.n)
-    if args.method in ("recursion", "all") and ns[-1] > darcais.TABLE_LIMIT:
-        raise ValueError(f"n={ns[-1]} is above the Q table limit {darcais.TABLE_LIMIT}")
     methods = darcais.method_names() if args.method == "all" else [args.method]
-    blocks: dict[str, list[darcais.QPolynomial]] = {}
-    for method in methods:
-        blocks[method] = [darcais.q_polynomial(n, method) for n in ns]
+    if "recursion" in methods:  # one table build, refused above its limit before any row
+        darcais.q_table_via_recursion(ns[-1])
+    blocks = {m: [darcais.q_polynomial(n, m) for n in ns] for m in methods}
     agree = all(
         blocks[m][i].coeffs == blocks[methods[0]][i].coeffs
         for m in methods
         for i in range(len(ns))
     )
+    labelled = args.method == "all"
 
-    if args.format == "json":
+    def payload():
         rows = {
             m: [{"n": p.n, "coeffs": [str(c) for c in p.coeffs]} for p in polys]
             for m, polys in blocks.items()
         }
-        payload = {"methods": rows, "agree": agree} if args.method == "all" else rows[methods[0]]
-        _emit(json.dumps(payload, separators=(",", ":")), args.out)
-    elif args.format == "csv":
-        lines = ["method,n,k,coeff"]
-        for m in methods:
-            for p in blocks[m]:
-                lines.extend(f"{m},{p.n},{k},{c}" for k, c in enumerate(p.coeffs))
-        _emit("\n".join(lines), args.out)
-    else:
-        lines = []
-        for m in methods:
-            if args.method == "all":
-                lines.append(f"# method={m}")
-            for p in blocks[m]:
-                lines.extend(p.dump_lines())
-        if args.method == "all":
-            lines.append(f"# verdict {'agree' if agree else 'disagree'}")
-        _emit("\n".join(lines), args.out)
+        return {"methods": rows, "agree": agree} if labelled else rows[args.method]
 
+    def dump():
+        for m in methods:
+            if labelled:
+                yield f"# method={m}"
+            for p in blocks[m]:
+                yield from p.dump_lines()
+        if labelled:
+            yield f"# verdict {'agree' if agree else 'disagree'}"
+
+    rows = ((m, p.n, k, c) for m in methods for p in blocks[m] for k, c in enumerate(p.coeffs))
+    _write(args, payload, ("method", "n", "k", "coeff"), rows, dump)
     if not agree:
         print("qpoly: methods disagree", file=sys.stderr)
         return EXIT_VIOLATION
@@ -129,17 +135,9 @@ def cmd_scan(args: argparse.Namespace) -> int:
         if r.certified and r.n0 is None:
             print(f"scan: k={r.k} has no violation below n_max={r.n_max}", file=sys.stderr)
 
-    if args.format == "json":
-        _emit(json.dumps([r.to_dict() for r in reports], separators=(",", ":")), args.out)
-    elif args.format == "tsv":
-        lines = [analysis.SCAN_CSV_HEADER.replace(",", "\t")]
-        lines.extend(r.csv_row().replace(",", "\t") for r in reports)
-        _emit("\n".join(lines), args.out)
-    else:
-        lines = [analysis.SCAN_CSV_HEADER]
-        lines.extend(r.csv_row() for r in reports)
-        _emit("\n".join(lines), args.out)
-
+    row = itemgetter(*SCAN_COLUMNS)
+    _write(args, lambda: [r.to_dict() for r in reports], SCAN_COLUMNS,
+           (row(r.to_dict()) for r in reports))
     if any(not r.certified for r in reports):
         print("scan: uncertified results present", file=sys.stderr)
         return EXIT_ABORTED
@@ -299,19 +297,9 @@ def cmd_verify(args: argparse.Namespace) -> int:
             results.append((name, check, ok))
             print(f"verify: {name}/{check}: {'pass' if ok else 'FAIL'}", file=sys.stderr)
 
-    if args.format == "json":
-        payload = [
-            {"suite": s, "check": c, "status": "pass" if ok else "fail"}
-            for s, c, ok in results
-        ]
-        _emit(json.dumps(payload, separators=(",", ":")), args.out)
-    else:
-        sep = "," if args.format == "csv" else "\t"
-        lines = [sep.join(("suite", "check", "status"))]
-        lines.extend(
-            sep.join((s, c, "pass" if ok else "fail")) for s, c, ok in results
-        )
-        _emit("\n".join(lines), args.out)
+    header = ("suite", "check", "status")
+    rows = ((s, c, "pass" if ok else "fail") for s, c, ok in results)
+    _write(args, lambda: [dict(zip(header, row)) for row in rows], header, rows)
     return EXIT_OK if all(ok for _, _, ok in results) else EXIT_VIOLATION
 
 
@@ -323,37 +311,17 @@ def cmd_series_dump(args: argparse.Namespace) -> int:
     if args.order > analysis.SCAN_LIMIT:  # no command builds a series further
         raise ValueError(f"order {args.order} is above the scan limit {analysis.SCAN_LIMIT}")
     s = series.custom_series(args.rule, args.order)
-    if args.format == "json":
-        payload = {
-            "rule": args.rule,
-            "order": s.order,
-            "coeffs": [str(c) for c in s.coeffs],
-        }
-        _emit(json.dumps(payload, separators=(",", ":")), args.out)
-    elif args.format == "csv":
-        lines = ["n,coeff"] + [f"{n},{c}" for n, c in enumerate(s.coeffs)]
-        _emit("\n".join(lines), args.out)
-    else:
-        _emit("\n".join(s.dump_lines()), args.out)
+    _write(args, lambda: {"rule": args.rule, "order": s.order, "coeffs": [str(c) for c in s.coeffs]},
+           ("n", "coeff"), enumerate(s.coeffs), s.dump_lines)
     return EXIT_OK
 
 
 def cmd_stirling_dump(args: argparse.Namespace) -> int:
     n_max = args.n_max
     table = stirling.StirlingTable(n_max)
-    if args.format == "json":
-        payload = {"n_max": n_max, "rows": [table.row(n) for n in range(n_max + 1)]}
-        _emit(json.dumps(payload, separators=(",", ":")), args.out)
-    elif args.format == "csv":
-        lines = ["n,m,value"]
-        for n in range(n_max + 1):
-            lines.extend(f"{n},{m},{v}" for m, v in enumerate(table.row(n)))
-        _emit("\n".join(lines), args.out)
-    else:
-        lines = []
-        for n in range(n_max + 1):
-            lines.extend(f"{n} {m} {v}" for m, v in enumerate(table.row(n)))
-        _emit("\n".join(lines), args.out)
+    rows = ((n, m, v) for n in range(n_max + 1) for m, v in enumerate(table.row(n)))
+    _write(args, lambda: {"n_max": n_max, "rows": [table.row(n) for n in range(n_max + 1)]},
+           ("n", "m", "value"), rows, lambda: (f"{n} {m} {v}" for n, m, v in rows))
     return EXIT_OK
 
 
@@ -422,7 +390,7 @@ def main(argv: Sequence[str] | None = None) -> int:
     args = build_parser().parse_args(argv)
     try:
         return _DISPATCH[args.command](args)
-    except ValueError as exc:
+    except (ValueError, OSError) as exc:  # a refused input, or an --out that cannot be written
         print(f"nekrasov: {exc}", file=sys.stderr)
         return EXIT_ABORTED
 

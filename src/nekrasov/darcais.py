@@ -22,7 +22,6 @@ so far down the walk: one packed multiply per walk step.
 
 from __future__ import annotations
 
-import json
 import math
 import os
 from dataclasses import dataclass
@@ -76,12 +75,6 @@ class QPolynomial:
     def dump_lines(self) -> list[str]:
         """Dump format: one "n k p/q" line per coefficient."""
         return [f"{self.n} {k} {c}" for k, c in enumerate(self.coeffs)]
-
-    def to_json(self) -> str:
-        return json.dumps(
-            {"n": self.n, "coeffs": [str(c) for c in self.coeffs]},
-            separators=(",", ":"),
-        )
 
 
 def _packed_sum(n: int, fact_power: int, limit: int | None, walk) -> QPolynomial:

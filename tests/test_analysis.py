@@ -10,7 +10,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from nekrasov import analysis, series
+from nekrasov import analysis, cli, series
 from nekrasov.analysis import (
     SCAN_LIMIT,
     coefficient_c,
@@ -158,11 +158,11 @@ def test_scan_custom_remark_k2_modes_agree():
 
 
 def test_scan_report_csv_shape():
-    report = scan_conjecture(2, 64)
-    row = report.csv_row()
-    fields = row.split(",")
-    assert fields[0] == "2" and fields[1] == "6" and fields[2] == "exact"
-    assert fields[4] == "64"
+    # the CLI's csv and tsv scan rows are these to_dict() values
+    row = scan_conjecture(2, 64).to_dict()
+    k, n0, mode, elapsed_ms, n_max = (row[c] for c in cli.SCAN_COLUMNS)
+    assert (k, n0, mode, n_max) == (2, 6, "exact", 64)
+    assert isinstance(elapsed_ms, int)
 
 
 def test_scan_exact_fallback_decides_ties():
@@ -868,7 +868,7 @@ def test_scan_longdouble_rechecks_only_what_float64_left_open(monkeypatch):
     # float64 certifies the violation at n = 8 and leaves n = 5 open; with no
     # exact fallback only the longdouble pass can certify n0 = 5
     report = scan_conjecture(3, 10, "adaptive-float", rule="near-tie-test", exact_fallback=0)
-    assert report.csv_row().split(",")[:3] == ["3", "5", "adaptive-float"]
+    assert (report.k, report.n0, report.to_dict()["mode"]) == (3, 5, "adaptive-float")
     assert (report.n_max, report.certified, report.violations_checked) == (10, True, 4)
     assert scan_conjecture(3, 10, "exact", rule="near-tie-test").n0 == 5
     ld_orders = [order for dtype, order in calls if dtype == np.longdouble]

@@ -1,16 +1,21 @@
 """CLI command behavior: outputs, formats, exit codes, determinism."""
 
+import argparse
 import concurrent.futures
 import dataclasses
 import hashlib
 import json
+import re
 from fractions import Fraction
 
 import pytest
 
 from nekrasov import analysis, darcais, series, stirling
-from nekrasov.cli import EXIT_ABORTED, EXIT_OK, EXIT_VIOLATION, _checks_stirling, main, parse_range
+from nekrasov.cli import (
+    EXIT_ABORTED, EXIT_OK, EXIT_VIOLATION, FORMATS, _checks_stirling, _write, main, parse_range,
+)
 from nekrasov.partitions import enumerate_partitions, multiplicities
+from nekrasov.series import RationalSeries, register_series_rule
 
 
 def run(capsys, *argv):
@@ -159,14 +164,10 @@ def test_scan_rejects_k1_for_sigma(capsys):
     assert "k must be >= 2" in err
 
 
-def _strip_elapsed(out):
-    rows = []
-    for line in out.strip().splitlines():
-        fields = line.split(",")
-        if len(fields) == 5 and fields[3] != "elapsed_ms":
-            fields[3] = "_"
-        rows.append(",".join(fields))
-    return "\n".join(rows)
+def _mask_elapsed(out):
+    """Scan output with its elapsed_ms values replaced by "_", in csv, tsv or json."""
+    out = re.sub(r'"elapsed_ms":\d+', '"elapsed_ms":_', out)
+    return re.sub(r"(?m)^(\d+[,\t][^,\t\n]*[,\t][^,\t\n]*[,\t])\d+", r"\1_", out)
 
 
 def test_scan_determinism_and_jobs(capsys):
@@ -177,7 +178,7 @@ def test_scan_determinism_and_jobs(capsys):
     code, out3, _ = run(capsys, "scan", "--k", "2..4", "--mode", "exact",
                         "--jobs", "2")
     assert code == EXIT_OK
-    assert _strip_elapsed(out1) == _strip_elapsed(out2) == _strip_elapsed(out3)
+    assert _mask_elapsed(out1) == _mask_elapsed(out2) == _mask_elapsed(out3)
 
 
 def test_scan_out_file(tmp_path, capsys):
@@ -188,6 +189,20 @@ def test_scan_out_file(tmp_path, capsys):
     assert out == ""
     content = target.read_text().strip().splitlines()
     assert content[0] == "k,n0,mode,elapsed_ms,n_max"
+
+
+@pytest.mark.parametrize("argv", [
+    ("qpoly", "--n", "1"), ("scan", "--k", "2..3", "--jobs", "2"),
+], ids=lambda argv: argv[0])
+@pytest.mark.parametrize("where", ["missing-directory", "directory"])
+def test_unwritable_out_exits_2(tmp_path, capsys, argv, where):
+    # the result is computed but cannot be written: aborted, not a violation
+    target = tmp_path / "missing" / "out.txt" if where == "missing-directory" else tmp_path
+    code, out, err = run(capsys, *argv, "--out", str(target))
+    assert code == EXIT_ABORTED
+    assert out == ""
+    assert err.splitlines()[-1].startswith("nekrasov: ") and str(target) in err
+    assert "Traceback" not in err
 
 
 def test_verify_identities(capsys):
@@ -370,17 +385,42 @@ def test_negative_verify_size_exits_2(capsys, suite):
     ("verify", "--suite", "logconcave", "--n-max", str(darcais.TABLE_LIMIT + 1)),
 ])
 def test_q_table_size_above_limit_exits_2(capsys, monkeypatch, argv):
-    # refused before any method or suite starts work
+    # refused before any method or suite starts work, and before the table grows a row
     def ran(*args):
         raise AssertionError("the size check came too late")
 
-    for name in ("q_polynomial", "q_table_via_recursion", "coefficient_series"):
+    tripwires = ["q_polynomial", "coefficient_series"]
+    if argv[0] == "verify":  # qpoly's refusal comes from q_table_via_recursion itself
+        tripwires.append("q_table_via_recursion")
+    for name in tripwires:
         monkeypatch.setattr(darcais, name, ran)
     monkeypatch.setattr(series, "partition_series", ran)
+    table = darcais._QTable()
+    monkeypatch.setattr(darcais, "_ladder", table)
     code, out, err = run(capsys, *argv)
     assert code == EXIT_ABORTED
     assert out == ""
     assert f"above the Q table limit {darcais.TABLE_LIMIT}" in err
+    assert table.rows == [] and table.int_cols == []
+
+
+@pytest.mark.parametrize("argv, top", [
+    (("--n", "0..40"), 40), (("--n", "0..12", "--method", "all"), 12),
+], ids=["recursion", "all"])
+def test_qpoly_range_grows_the_table_once(capsys, monkeypatch, argv, top):
+    # one build to the top of the range, not one growth (and rescale) per n
+    grown = []
+
+    class Counting(darcais._QTable):
+        def ensure(self, n_max):
+            if n_max > self.n_max:
+                grown.append(n_max)
+            super().ensure(n_max)
+
+    monkeypatch.setattr(darcais, "_ladder", Counting())
+    code, _, _ = run(capsys, "qpoly", *argv)
+    assert code == EXIT_OK
+    assert grown == [top]
 
 
 # --precision-cap is no longer a scan flag either (see the test below); the
@@ -454,7 +494,7 @@ def test_scan_jobs_keep_at_most_jobs_in_flight(capsys, monkeypatch):
     code, out_jobs, _ = run(capsys, "scan", "--k", "2..6", "--jobs", "2", "--mode", "exact")
     assert code == EXIT_OK
     code, out_serial, _ = run(capsys, "scan", "--k", "2..6", "--mode", "exact")
-    assert _strip_elapsed(out_jobs) == _strip_elapsed(out_serial)
+    assert _mask_elapsed(out_jobs) == _mask_elapsed(out_serial)
 
 
 def test_series_dump_negative_order_exits_2(capsys):
@@ -549,3 +589,108 @@ def test_qpoly_disagreement_exit_status(capsys, monkeypatch):
     code, out, _ = run(capsys, "qpoly", "--n", "2", "--method", "all")
     assert code == 1
     assert "# verdict disagree" in out
+
+
+# ---------------------------------------------------------------------------
+# golden matrix: every command in every format
+# ---------------------------------------------------------------------------
+
+_GOLDEN_CASES = {
+    "qpoly-all": ("qpoly", "--n", "0..6", "--method", "all"),
+    "qpoly-recursion": ("qpoly", "--n", "0..12"),
+    "qpoly-hooks": ("qpoly", "--n", "3..5", "--method", "hooks"),
+    "scan-certified": ("scan", "--k", "2..3"),
+    "scan-no-violation": ("scan", "--k", "9", "--n-max", "300"),
+    "scan-uncertified": ("scan", "--k", "1", "--n-max", "12", "--rule", "geometric-golden-test",
+                         "--mode", "adaptive-float", "--exact-fallback", "0"),
+    "verify-identities": ("verify", "--suite", "identities", "--n-max", "8"),
+    "verify-logconcave": ("verify", "--suite", "logconcave", "--n-max", "20"),
+    "verify-stirling": ("verify", "--suite", "stirling", "--n-max", "12"),
+    "series-dump": ("series-dump", "--rule", "remark-series", "--order", "8"),
+    "stirling-dump": ("stirling-dump", "--n-max", "8"),
+}
+
+# (exit code, sha256 of stdout) as the per-command format branches printed them,
+# with elapsed_ms masked in the scan rows
+_GOLDEN = {
+    ("qpoly-all", "csv"): (0, "d819cd708c68fd5d2189ff4d17e909b8d0b46a97a7f085cfd62d4614778b6a54"),
+    ("qpoly-all", "json"): (0, "d975014e4198556576ecd5513284bd622719e111e93e498216dccf7c2f65bfba"),
+    ("qpoly-all", "tsv"): (0, "dff52350d5f22c63a86a904ca363cbac424887e8f549b9d1a6b85da75bdbc08c"),
+    ("qpoly-recursion", "csv"): (0, "d64b33cd8b273d2f23e66295ea4652167a5ab67f15b6746257092ddc23236275"),
+    ("qpoly-recursion", "json"): (0, "49502db7c2e09997267a748c384ed33f61994c050513f4f4832ffbb4a58c8a0f"),
+    ("qpoly-recursion", "tsv"): (0, "2562ae17e44d97c7cf7b68240d9ce156de81ef4877bd2c9942585054f97e4d05"),
+    ("qpoly-hooks", "csv"): (0, "1038adc59083e8fbacf63aa944a67edb6d9fd32e1b38090a4ca72fa9641016a2"),
+    ("qpoly-hooks", "json"): (0, "32757be8d916e6ac90c0d44af563cd7e8b2ac2093abe5b0c2acbcf35ce75d05d"),
+    ("qpoly-hooks", "tsv"): (0, "8cd1975fc8cbd737b74dd8a0766a3180804f64ed3c3f957b1e99b3bce18cfe58"),
+    ("scan-certified", "csv"): (0, "7f14ac8e172170958e0a6f8b8ebb21cad09aee30cb7acf1ed879f68e24065673"),
+    ("scan-certified", "json"): (0, "f91ab917563b63cf0b033e29c281287c8063eb234766e4938bb90d2282bbefdd"),
+    ("scan-certified", "tsv"): (0, "9848567e084d473369c3f0a66cea17ab338455d64ce78c8602f5d0d2cf685a50"),
+    ("scan-no-violation", "csv"): (0, "e2923084f7dafe80764c923fd14d0649fab7dd7f0a89c3819087b7e3cece10f2"),
+    ("scan-no-violation", "json"): (0, "454da9a9f786bd19613ea1b42e5692e41f57412c1ed9ee3774ecbbc8f1621a56"),
+    ("scan-no-violation", "tsv"): (0, "66c0900d6f556574a4ef77432b7cf0b28a31241ee8248ae31fd040a246b913f1"),
+    ("scan-uncertified", "csv"): (2, "d9bed38115f3405804470445137e435454fdc7d73c4ba2c986ee390032182f82"),
+    ("scan-uncertified", "json"): (2, "fe3214cc0e8a54a8ca96173a69b8bead5180a52ca148f9c6532fdf2219fcd651"),
+    ("scan-uncertified", "tsv"): (2, "48aae94705ed767381c3cb37b2c862c3588275b16475c5782d2c31c4fa100b49"),
+    ("verify-identities", "csv"): (0, "90ed09e9e4cd88eb226e716d90573a0fd4d0219866f4c994f69051c1d94d6b4b"),
+    ("verify-identities", "json"): (0, "6d465fc1ad79e44b81e8cf173dc895cd21593532443433b28cc674ec7c44d135"),
+    ("verify-identities", "tsv"): (0, "35f0d52f430506d6e511c7cfebef42df7b1e361727a37e18eba68aa81c4ca141"),
+    ("verify-logconcave", "csv"): (0, "7c500a1a841acede4999288657eba6e1e278d5f68741bff8da9996f459d3858e"),
+    ("verify-logconcave", "json"): (0, "fdda3f6e42d64dfa1038f1fa6c54ea41eed1078f68f82f8605334bb1634ae69e"),
+    ("verify-logconcave", "tsv"): (0, "2ae6cc931b92dd625131b60f45bfddc13e243ce4326ba8aad2be3927c99d9fa0"),
+    ("verify-stirling", "csv"): (0, "17a9c406f008fba368656e9a32dd743dc99d311ea32a0499aae1cecd70b7110a"),
+    ("verify-stirling", "json"): (0, "96c3874f5edf520e82a9b2daf7166a0832e3db6063fb26d0c5045c0e6bd5ee03"),
+    ("verify-stirling", "tsv"): (0, "514704f5f3802ecb840fd301572d3b36bb4dcdc3f5539766160c295d3c682372"),
+    ("series-dump", "csv"): (0, "a05c2908bf8770027c5e54ec9be2dc3d55c4bfdb2371fa431602b48e49177c5f"),
+    ("series-dump", "json"): (0, "9b7ad30e356a4dafab46f4aa0ce5468e6ed22b7351d8d04472bcd7af4e0bc752"),
+    ("series-dump", "tsv"): (0, "f7f14026dc42b39d77b8241bc8ba5d2bb4970da752619fa612d49023bca60873"),
+    ("stirling-dump", "csv"): (0, "afdba9583129fa34d1c523112f203e3a62ee3c7d3972d8523b5bacbd8ea729fa"),
+    ("stirling-dump", "json"): (0, "2558d8f8c5354b5260a73783ee87820acc02a51f8b733ef63782ae0c5756a168"),
+    ("stirling-dump", "tsv"): (0, "1e76d4124d164dd4938fc5b23539097681b70502727c3f7305db9f9803c31811"),
+}
+
+
+def _golden_run(capsys, name, fmt, *extra):
+    register_series_rule(  # exact ties that no enclosure decides: an uncertified row
+        "geometric-golden-test",
+        lambda n: RationalSeries([0] + [Fraction(1, 3**i) for i in range(1, n + 1)]),
+    )
+    code, out, _ = run(capsys, *_GOLDEN_CASES[name], "--format", fmt, *extra)
+    return code, out
+
+
+@pytest.mark.parametrize("fmt", FORMATS)
+@pytest.mark.parametrize("name", list(_GOLDEN_CASES))
+def test_output_golden_matrix(capsys, name, fmt):
+    code, out = _golden_run(capsys, name, fmt)
+    if name.startswith("scan"):
+        out = _mask_elapsed(out)
+    assert (code, hashlib.sha256(out.encode()).hexdigest()) == _GOLDEN[name, fmt]
+
+
+def _unbuilt():
+    raise AssertionError("built the output of another format")
+    yield
+
+
+@pytest.mark.parametrize("fmt, dumps, expected", [
+    ("json", False, '{"rows":2}\n'),
+    ("csv", True, "a,b\n1,\n"),
+    ("tsv", False, "a\tb\n1\t\n"),
+    ("tsv", True, "1 -\n"),
+])
+def test_write_builds_only_what_its_format_prints(capsys, fmt, dumps, expected):
+    args = argparse.Namespace(format=fmt, out=None)
+    payload = (lambda: {"rows": 2}) if fmt == "json" else _unbuilt
+    rows = _unbuilt() if fmt == "json" or (fmt == "tsv" and dumps) else iter([(1, None)])
+    dump = (lambda: iter(["1 -"])) if fmt == "tsv" else _unbuilt
+    _write(args, payload, ("a", "b"), rows, dump if dumps else None)
+    assert capsys.readouterr().out == expected
+
+
+@pytest.mark.parametrize("fmt", FORMATS)
+def test_out_file_holds_the_stdout_bytes(tmp_path, capsys, fmt):
+    target = tmp_path / "out.txt"
+    code, out = _golden_run(capsys, "qpoly-all", fmt, "--out", str(target))
+    assert out == ""
+    digest = hashlib.sha256(target.read_bytes()).hexdigest()
+    assert (code, digest) == _GOLDEN["qpoly-all", fmt]
