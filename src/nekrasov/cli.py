@@ -11,9 +11,11 @@ from __future__ import annotations
 import argparse
 import collections
 import concurrent.futures
+import errno
 import functools
 import json
 import math
+import os
 import sys
 from fractions import Fraction
 from itertools import chain
@@ -386,9 +388,23 @@ _DISPATCH: dict[str, Callable[[argparse.Namespace], int]] = {
 }
 
 
+def _check_out(path: str) -> None:
+    """Refuse an --out that open() would refuse, before any work and without creating it.
+
+    Raises what open() raises when the path is a directory or its parent
+    directory does not exist.
+    """
+    if os.path.isdir(path):
+        raise IsADirectoryError(errno.EISDIR, os.strerror(errno.EISDIR), path)
+    if not os.path.isdir(os.path.dirname(path) or "."):
+        raise FileNotFoundError(errno.ENOENT, os.strerror(errno.ENOENT), path)
+
+
 def main(argv: Sequence[str] | None = None) -> int:
     args = build_parser().parse_args(argv)
     try:
+        if args.out is not None:
+            _check_out(args.out)
         return _DISPATCH[args.command](args)
     except (ValueError, OSError) as exc:  # a refused input, or an --out that cannot be written
         print(f"nekrasov: {exc}", file=sys.stderr)

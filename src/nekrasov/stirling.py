@@ -157,18 +157,43 @@ def _nonzero_counts(k_vec: Iterable[int]) -> list[int]:
     return counts
 
 
+# Full products prod_j sum_l [k_j+1, l+1] z^l, keyed by the sorted nonzero counts.
+# Every product depends only on the multiset of counts; the stirling suite's
+# 604 (n, multiset) pairs of n <= 18 share 143 keys.
+_products: dict[tuple[int, ...], list[int]] = {(): [1]}
+
+
+def _product(key: tuple[int, ...]) -> list[int]:
+    """The memoized product for sorted nonzero counts `key`; the stored list, not a copy.
+
+    A missing key is the product for key[:-1] times one row [k+1, .] of its
+    largest count k, and every prefix built on the way is stored too.
+    """
+    coeffs = _products.get(key)
+    if coeffs is None:
+        _table.extend(key[-1] + 1)
+        cut = len(key) - 1
+        while key[:cut] not in _products:
+            cut -= 1
+        coeffs = _products[key[:cut]]
+        for end in range(cut + 1, len(key) + 1):
+            k = key[end - 1]
+            row = _table.rows[k + 1][1:]
+            new = [0] * (len(coeffs) + k)
+            for i, a in enumerate(coeffs):
+                for l, b in enumerate(row):
+                    new[i + l] += a * b
+            coeffs = _products[key[:end]] = new
+    return coeffs
+
+
 def _product_prefix(counts: list[int], total: int) -> list[int]:
-    """Coefficients 0..total of prod_j sum_l [k_j+1, l+1] z^l, zero-padded past its degree."""
-    _table.extend(max(counts, default=0) + 1)
-    coeffs = [1]
-    for k in counts:
-        row = _table.rows[k + 1][1:]
-        new = [0] * min(len(coeffs) + k, total + 1)
-        for i, a in enumerate(coeffs):
-            for l, b in enumerate(row[: len(new) - i]):
-                new[i + l] += a * b
-        coeffs = new
-    return coeffs + [0] * (total + 1 - len(coeffs))
+    """Coefficients 0..total of prod_j sum_l [k_j+1, l+1] z^l, zero-padded past its degree.
+
+    A fresh list, so no caller can change a stored product.
+    """
+    coeffs = _product(tuple(sorted(counts)))
+    return coeffs[: total + 1] + [0] * (total + 1 - len(coeffs))
 
 
 def q_coeff_numerators(k_vec: Iterable[int]) -> tuple[list[int], int]:
@@ -192,11 +217,14 @@ def constrained_stirling_sum(k_vec: Iterable[int], total: int) -> int:
     """sum over (l_j) with sum l_j = total, 0 <= l_j <= k_j, of prod [k_j+1, l_j+1].
 
     This is the z^total coefficient of the product q_coeff_numerators
-    expands, built only up to degree `total`.
+    expands, read from the memoized product.
     """
     if total < 0:
         return 0
     return _product_prefix(_nonzero_counts(k_vec), total)[total]
+
+
+_ceil_harmonic: dict[int, int] = {}  # k -> ceil(H_k)
 
 
 def descent_threshold(k_vec: Iterable[int], n: int) -> tuple[int, int]:
@@ -209,7 +237,11 @@ def descent_threshold(k_vec: Iterable[int], n: int) -> tuple[int, int]:
     r = (n - 1).bit_length()
     s = 0
     for k in _nonzero_counts(k_vec):
-        s += 2 * math.ceil(harmonic(k)) + r + 1
+        c = _ceil_harmonic.get(k)
+        if c is None:
+            h = harmonic(k)
+            c = _ceil_harmonic[k] = -(-h.numerator // h.denominator)
+        s += 2 * c + r + 1
     return s, r
 
 

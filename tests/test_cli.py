@@ -195,14 +195,19 @@ def test_scan_out_file(tmp_path, capsys):
     ("qpoly", "--n", "1"), ("scan", "--k", "2..3", "--jobs", "2"),
 ], ids=lambda argv: argv[0])
 @pytest.mark.parametrize("where", ["missing-directory", "directory"])
-def test_unwritable_out_exits_2(tmp_path, capsys, argv, where):
-    # the result is computed but cannot be written: aborted, not a violation
+def test_unwritable_out_exits_2(tmp_path, capsys, monkeypatch, argv, where):
+    # refused before the result is computed: aborted, not a violation, and nothing written
+    module, name = {"qpoly": (darcais, "q_polynomial"), "scan": (analysis, "scan_conjecture")}[argv[0]]
+    calls = []
+    monkeypatch.setattr(module, name, lambda *a, **kw: calls.append(a))
     target = tmp_path / "missing" / "out.txt" if where == "missing-directory" else tmp_path
     code, out, err = run(capsys, *argv, "--out", str(target))
     assert code == EXIT_ABORTED
+    assert calls == []
     assert out == ""
     assert err.splitlines()[-1].startswith("nekrasov: ") and str(target) in err
     assert "Traceback" not in err
+    assert not (tmp_path / "missing").exists() and list(tmp_path.iterdir()) == []
 
 
 def test_verify_identities(capsys):

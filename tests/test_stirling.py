@@ -6,6 +6,7 @@ from itertools import permutations, product
 
 import pytest
 
+from nekrasov import stirling
 from nekrasov.analysis import is_log_concave
 from nekrasov.cli import _checks_stirling
 from nekrasov.partitions import enumerate_partitions, multiplicities
@@ -398,3 +399,48 @@ def test_checks_ignore_the_order_of_multiplicities():
                 assert (
                     descent_check(perm, n), mode_bound_check(perm, n), q_coeff_numerators(perm)
                 ) == ref
+
+
+def test_product_memo_matches_per_partition_oracle_cold_and_warm(monkeypatch):
+    monkeypatch.setattr(stirling, "_products", {(): [1]})
+    monkeypatch.setattr(stirling, "_ceil_harmonic", {})
+    cases = list(per_partition_results(18))
+    for _ in ("cold", "warm"):
+        for n, k_vec, s, lhs, rhs, mode, violation in cases:
+            r = (n - 1).bit_length()
+            assert descent_check(k_vec, n) == DescentResult(s, r, lhs, rhs, lhs <= rhs)
+            assert mode_bound_check(k_vec, n) == ModeResult(mode, s, mode <= s)
+            assert constrained_stirling_sum(k_vec, s) == lhs
+            assert q_coeff_numerators(k_vec) == old_q_coeff_numerators(k_vec)
+            assert is_log_concave(q_coeff_numerators(k_vec)[0]) == violation
+
+
+def test_product_memo_is_keyed_by_the_multiset(monkeypatch):
+    monkeypatch.setattr(stirling, "_products", {(): [1]})
+    ref = old_q_coeff_numerators([3, 1, 2])
+    for perm in permutations([0, 3, 1, 2]):
+        assert q_coeff_numerators(perm) == ref
+    # built once, through the prefixes that drop the largest count
+    assert set(stirling._products) == {(), (1,), (1, 2), (1, 2, 3)}
+
+
+def test_returned_products_are_fresh_lists():
+    nums, _ = q_coeff_numerators([2, 1])
+    nums[0] = 99
+    nums.append(7)
+    assert q_coeff_numerators([1, 2]) == ([2, 5, 4, 1], 2)
+    assert constrained_stirling_sum([2, 1], 0) == 2
+    assert q_coeffs([2, 1]) == [1, Fraction(5, 2), 2, Fraction(1, 2)]
+
+
+def test_cold_suite_builds_one_product_per_multiset(monkeypatch):
+    # each entry past the empty key is one row product; the 604 (n, multiset)
+    # pairs of n <= 18 share 143 multisets, closed under dropping the largest count
+    monkeypatch.setattr(stirling, "_products", {(): [1]})
+    _checks_stirling(40)
+    keys = {
+        tuple(sorted(multiplicities(p).values()))
+        for n in range(2, 19) for p in enumerate_partitions(n)
+    }
+    assert len(keys) == 143
+    assert set(stirling._products) == keys | {()}
