@@ -3,8 +3,9 @@
 The scanners look for the first n where the coefficients c_{n,k} of f(q)^k
 violate log-concavity (c_n^2 < c_{n-1} c_{n+1}).  Two modes:
 
-* exact: the powers f^1..f^k as rows of integers over a common
-  denominator, so every comparison is an integer cross-multiplication.
+* exact: the powers f^1..f^k as rows of integers, row j over its own
+  denominator D_j (a bound on the primes j factors of f can carry), so
+  every comparison within a row is an integer cross-multiplication.
   Row j follows from row j - 1 by q d/dq (f^j) = j f^(j-1) q f', the step
   behind the Heim-Neuhauser recurrence for Q_n: its multipliers i f_i are
   small integers (sigma(i) for sigma_{-1}) times one common factor, so each
@@ -328,7 +329,7 @@ def coefficient_c(n: int, k: int) -> Fraction:
         return Fraction(0)
     row = _sigma_power(k, n)
     num = row.nums[n]
-    return Fraction(num, row.denom**k) if num else Fraction(0)
+    return Fraction(num, row.denoms[k]) if num else Fraction(0)
 
 
 # ---------------------------------------------------------------------------
@@ -352,7 +353,7 @@ def partial_sum_ratio(k: int, n: int) -> RatioReport:
         raise ValueError(f"requires n >= max(2, k^2) = {max(2, k * k)}")
     row = _sigma_power(k - 1, n)
     prefix = list(accumulate(row.base[: n + 1]))
-    lhs = Fraction(sum(map(mul, row.nums[: n + 1], reversed(prefix))), row.denom**k)
+    lhs = Fraction(sum(map(mul, row.nums[: n + 1], reversed(prefix))), row.denoms[k - 1] * row.denom)
     lo6, hi6 = pi2_over_6_bounds()
     binom = math.comb(n, k)
     rhs_lo = lo6**k * binom
@@ -421,7 +422,7 @@ def surrogate_truncated_sequence(k: int, n_lo: int, n_hi: int) -> list[Fraction]
     if k > n_hi - 26:  # c_{i,k} = 0 for every i <= n_hi - 26
         return [Fraction(0)] * (n_hi - n_lo + 1)
     row = _sigma_power(k, n_hi - 26)
-    denom = row.denom**k * math.factorial(k)
+    denom = row.denoms[k] * math.factorial(k)
     return [
         Fraction(sum(partition_count(n - i) * row.nums[i] for i in range(n - 25)), denom)
         for n in range(n_lo, n_hi + 1)

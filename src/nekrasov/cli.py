@@ -154,7 +154,7 @@ def _checks_identities(n_max: int) -> list[tuple[str, bool]]:
     pseries = series.partition_series(n_max)
     checks = [("exp-of-f-equals-partition-series",
                series.series_exp(series.f_series(n_max)) == pseries)]
-    ladder = series._PowerRow(6, "sigma-minus-one")  # rows[k][n] = [q^n] f^k denom^k
+    ladder = series._PowerRow(6, "sigma-minus-one")  # rows[k][n] = [q^n] f^k D_k, D_k = denoms[k]
     ladder.extend(n_max)
     rows, p = ladder.rows, [int(c) for c in pseries]
 
@@ -164,7 +164,7 @@ def _checks_identities(n_max: int) -> list[tuple[str, bool]]:
     ok = True
     for k in range(0, min(5, n_max) + 1):
         lhs = darcais.coefficient_series(k, n_max)
-        scale = ladder.denom**k * math.factorial(k)
+        scale = ladder.denoms[k] * math.factorial(k)
         ok = ok and all(lhs[n] == Fraction(cauchy(rows[k], p, n), scale) for n in range(n_max + 1))
     checks.append(("generating-identity-per-k", ok))
     enum_cap = min(n_max, darcais.enumeration_limit())
@@ -183,9 +183,10 @@ def _checks_identities(n_max: int) -> list[tuple[str, bool]]:
             for q in table
         ),
     ))
-    # rows a and b share the denom, so their integer product is row a + b
+    # the integer product of rows a and b is row a + b over D_a D_b
+    d = ladder.denoms
     checks.append(("power-consistency", all(
-        cauchy(rows[a], rows[b], n) == rows[a + b][n]
+        cauchy(rows[a], rows[b], n) * d[a + b] == rows[a + b][n] * d[a] * d[b]
         for a in range(1, 6) for b in range(1, 7 - a) for n in range(min(n_max, 100) + 1)
     )))
     return checks

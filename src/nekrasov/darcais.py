@@ -241,7 +241,8 @@ class _QTable:
                 ints = []
                 for lo, hi in zip(s, s[1:]):  # n a_n[k] = s[k] + s[k + 1]
                     c, rem = divmod(lo + hi, n)
-                    assert rem == 0, "the recurrence divides exactly"
+                    if rem:
+                        raise ArithmeticError(f"row {n} of the Q table is not an integer at z^{len(ints)}")
                     ints.append(c)
             for col, c in zip(self.int_cols, ints):
                 col.append(c)
@@ -283,10 +284,10 @@ def a_cross_recursion(a: int, b: int, n: int) -> Fraction:
     """A_{n,b} = (a!/b!) sum_i A_{n-i,a} c_{i,b-a}, with c_{i,j} = [q^i] f^j.
 
     Computed in integers from column a of the table, a_m[a] = D A_{m,a}, and
-    row j = b - a of the power ladder, rows[j][i] = c_{i,j} denom^j (about
-    j log2(denom) bits, so a row above SHARED_POWERS is built for this call
+    row j = b - a of the power ladder, rows[j][i] = c_{i,j} D_j with D_j the
+    row's own denominator (a row above SHARED_POWERS is built for this call
     alone, two banded rows at a time):
-    A_{n,b} = a! sum_i a_{n-i}[a] rows[j][i] / (b! D denom^j).
+    A_{n,b} = a! sum_i a_{n-i}[a] rows[j][i] / (b! D D_j).
     """
     if not (0 <= a < b <= n):
         raise ValueError("requires 0 <= a < b <= n")
@@ -298,7 +299,7 @@ def a_cross_recursion(a: int, b: int, n: int) -> Fraction:
     powers.extend(_ladder.n_max if shared else n - a, free=not shared)
     col_a = _ladder.int_cols[a]  # col_a[m - a] = a_m[a], read from m = n down to m = a
     acc = sum(map(mul, col_a[n - a :: -1], powers.rows[j]))
-    return Fraction(math.factorial(a) * acc, math.factorial(b) * _ladder.denom * powers.denom**j)
+    return Fraction(math.factorial(a) * acc, math.factorial(b) * _ladder.denom * powers.denoms[j])
 
 
 _METHODS = {

@@ -2,22 +2,23 @@
 
 Exact side: `RationalSeries` holds Fraction coefficients of q^0..q^N and all
 arithmetic is exact (no rounding anywhere).  `_PowerRow`, the q d/dq ladder
-over integers scaled by denom^j, is the one exact kernel for powers of a
-rule: analysis, `darcais.a_cross_recursion` and `verify --suite identities`
-read f^k from it; `series_power` is its Fraction reference.  Float side:
-`BallSeries` is a midpoint-radius enclosure used for large scans: float
-midpoints with one relative radius and one absolute underflow term per
-series, so a product costs one convolution.  It is a separate type and is
-never substituted for the exact one implicitly.
+of integer rows, row j over its own denominator D_j, is the one exact kernel
+for powers of a rule: analysis, `darcais.a_cross_recursion` and `verify
+--suite identities` read f^k from it; `series_power` is its Fraction
+reference.  Float side: `BallSeries` is a midpoint-radius enclosure used for
+large scans: float midpoints with one relative radius and one absolute
+underflow term per series, so a product costs one convolution.  It is a
+separate type and is never substituted for the exact one implicitly.
 """
 
 from __future__ import annotations
 
 import math
+from bisect import bisect_right
 from fractions import Fraction
 from functools import partial
-from itertools import repeat
-from operator import add, lshift
+from itertools import accumulate, compress, repeat
+from operator import add, lshift, mul
 from typing import Callable, Sequence
 
 import numpy as np
@@ -193,11 +194,15 @@ def custom_series(rule: str, n_max: int) -> RationalSeries:
 # Exact power rows, a q d/dq ladder extended in place
 # ---------------------------------------------------------------------------
 
-def _scaled_rule_base(rule: str, n_max: int) -> tuple[list[int], int]:
-    """A registered series as (numerators, denominator): the lcm of its denominators."""
+def _scaled_rule_base(rule: str, n_max: int) -> tuple[list[int], int, list[int]]:
+    """A registered series as (numerators, denominator, reduced denominators d_m).
+
+    The denominator is the lcm of the d_m, and numerator m is f_m times it.
+    """
     coeffs = custom_series(rule, n_max).coeffs
-    denom = math.lcm(*(c.denominator for c in coeffs))
-    return [c.numerator * (denom // c.denominator) for c in coeffs], denom
+    dens = [c.denominator for c in coeffs]
+    denom = math.lcm(*dens)
+    return [c.numerator * (denom // d) for c, d in zip(coeffs, dens)], denom, dens
 
 
 # Every integer of magnitude up to 2^53 is a float64, so a dot product of
@@ -308,33 +313,37 @@ class _ExactToeplitz:
 
 
 class _PowerRow:
-    """The powers f^0..f^k of a registered rule f, as integers over denom^j.
+    """The powers f^0..f^k of a registered rule f, row j as integers over its own D_j.
 
-    rows[j][n] = [q^n] f^j denom^j, where denom is the lcm of f's
-    denominators up to the current order; base = rows[1] and nums = rows[k].
-    Applying q d/dq to f^j gives q (f^j)' = j f^(j-1) q f', that is
-    n c_{n,j} = j sum_{i=1..n} i f_i c_{n-i,j-1}, the same step that yields
-    the Heim-Neuhauser recurrence for Q_n (darcais).  Scaled, with
-    g = gcd_i(i base_i) and e_i = i base_i / g,
-        rows[j][n] = j g sum_{i=1..n} e_i rows[j-1][n-i] / n,   rows[j][0] = base_0^j,
-    a division that is exact because the left side is an integer.  For
-    sigma_{-1}, i f_i = sigma(i), so g = denom and e_i = sigma(i): each step
-    multiplies big entries by small integers, where J.C.P. Miller's power
-    recurrence needs big-by-big products.  Row j is built from row j - 1,
-    so the ladder keeps every row up to k.  The sums over i are the product
-    of row j - 1 with the Toeplitz matrix of e, computed exactly on BLAS by
-    `_ExactToeplitz`; powers and orders from 2^21 - 1 up are refused.
+    rows[j][n] = [q^n] f^j D_j with D_j = denoms[j]; D_0 = 1 and D_1 = denom,
+    the lcm of f's reduced denominators d_m up to the current order N, so
+    base = rows[1] and nums = rows[k].  D_j is the valuation bound of
+    `_denominators`, far below denom^j: at N = 512, D_8 of sigma_{-1}
+    has 1964 bits where denom^8 has 5942.  Applying q d/dq to f^j gives
+    q (f^j)' = j f^(j-1) q f', that is n c_{n,j} = j sum_{i=1..n} i f_i
+    c_{n-i,j-1}, the same step that yields the Heim-Neuhauser recurrence for
+    Q_n (darcais).  Scaled, with g = gcd_i(i base_i) and e_i = i base_i / g,
+        rows[j][n] = j g D_j sum_{i=1..n} e_i rows[j-1][n-i] / (denom D_{j-1} n),
+    rows[j][0] = f_0^j D_j, a division that is exact because the left side
+    is an integer; a remainder raises ArithmeticError.  For sigma_{-1},
+    i f_i = sigma(i), so g = denom, e_i = sigma(i) and the multiplier is
+    j D_j / D_{j-1}, a small fraction: each step multiplies big entries by
+    small integers, where J.C.P. Miller's power recurrence needs big-by-big
+    products.  Row j is built from row j - 1, so the ladder keeps every row
+    up to k.  The sums over i are the product of row j - 1 with the Toeplitz
+    matrix of e, computed exactly on BLAS by `_ExactToeplitz`; powers and
+    orders from 2^21 - 1 up are refused.
 
     f^j is 0 below j lead, where lead is the index of f's first nonzero
     coefficient: those zeros are appended, not computed, and row j reads
-    row j - 1 only from (j - 1) lead.  `extend` rescales the stored rows by
-    (denom'/denom)^j when denom grows, then only appends.  A build that is
-    never extended again passes `free=True`: row j - 1 is dropped once row j
-    is complete (base stays), and a later `extend` raises ValueError.  Such a
-    build reads only row k, and row j at n reads row j - 1 only up to n - s,
-    where s >= 1 is the first i with e_i != 0 (s = 1 when every e_i is 0);
-    so it stops row j at order - (k - j) s, and a high power built to a low
-    order costs little.
+    row j - 1 only from (j - 1) lead.  `extend` moves each stored row j to
+    the D_j of the new order (D_j grows with N), then only appends.  A build
+    that is never extended again passes `free=True`: row j - 1 is dropped
+    once row j is complete (base stays), and a later `extend` raises
+    ValueError.  Such a build reads only row k, and row j at n reads row
+    j - 1 only up to n - s, where s >= 1 is the first i with e_i != 0 (s = 1
+    when every e_i is 0); so it stops row j at order - (k - j) s, and a high
+    power built to a low order costs little.
     """
 
     def __init__(self, k: int, rule: str):
@@ -344,12 +353,118 @@ class _PowerRow:
         self.rule = rule
         self.base: list[int] = []
         self.denom = 1
+        self.denoms = [1] * (k + 1)
         self.rows: list[list[int] | None] = [[] for _ in range(k + 1)]
         self.freed = False
 
     @property
     def nums(self) -> list[int]:
         return self.rows[self.k]
+
+    def _denominators(self, denom: int, nums: list[int], dens: list[int]) -> list[int]:
+        """D_0..D_k at order N for f = nums / denom, whose f_m has reduced denominator dens[m].
+
+        c_{n,j} sums products f_{m_1} .. f_{m_j} with m_1 + .. + m_j = n <= N
+        and every m_i >= lead, the index of f's first nonzero coefficient.  So
+        D_j = prod_p p^e_p(j) clears it when e_p(j) bounds sum_i v_p(d_{m_i})
+        over such j-tuples.  An index carries p^a only from w(a) = min{m :
+        p^a | d_m} on, so a factor with a levels of p spends w(a) - lead or
+        more of the budget B = N - j lead.  Taking levels cheapest first, each
+        at its rise in the lower convex envelope of those costs, gives e_p(j)
+        (exactly when the costs are convex, as w(a) = p^a is for sigma_{-1};
+        an upper bound otherwise).  A larger N never lowers it, so D_j(N)
+        divides D_j(N'); more factors can, since each spends lead, so
+        D_j / D_{j-1} is a fraction in general.  The d_m above N are not
+        factored: their primes keep their power in denom, charged at power j
+        as in denom^j.  Rows above N / lead are 0 to q^N: they share one
+        int object, the D_j of the last row that is not.
+        """
+        k, order = self.k, len(dens) - 1
+        lead = next((m for m, c in enumerate(nums) if c), order + 1)
+        top = min(k, order // lead) if lead else k  # the rows that can be nonzero to q^N
+        big = math.lcm(*(d for d in dens if d > order))
+        tail, rest, g = 1, denom, math.gcd(denom, big)
+        while g > 1:  # tail starts as the part of denom on the primes of big
+            tail *= g
+            rest //= g
+            g = math.gcd(rest, g)
+        first = [order + 1] * (order + 1)  # first[v] = the least m with d_m = v
+        for m in range(order, -1, -1):
+            if dens[m] <= order:
+                first[dens[m]] = m
+        sieve = bytearray([0, 0]) + bytearray([1]) * (order - 1)
+        for p in range(2, math.isqrt(order) + 1):
+            if sieve[p]:
+                sieve[p * p :: p] = bytes(len(range(p * p, order + 1, p)))
+        primes = [p for p in compress(range(order + 1), sieve) if not rest % p]
+        # w(a) is the least first[v] over the multiples v <= N of p^a
+        w1 = [min(first[p::p]) for p in primes]
+        split = bisect_right(primes, math.isqrt(order))
+        up, down = [1] * (top + 1), [1] * (top + 1)  # D_j / (D_{j-1} tail) = up[j] / down[j]
+        for p, m in zip(primes[:split], w1[:split]):
+            w, q = [0], p
+            while m <= order:
+                w.append(m)
+                q *= p
+                m = min(first[q::q]) if q <= order else order + 1
+            hull = [(0, 0)]  # the lower convex envelope of the points (a, w(a) - lead)
+            for a in range(1, len(w)):
+                y = w[a] - lead
+                while len(hull) > 1 and ((hull[-1][0] - hull[-2][0]) * (y - hull[-2][1])
+                                         <= (hull[-1][1] - hull[-2][1]) * (a - hull[-2][0])):
+                    hull.pop()
+                hull.append((a, y))
+            if hull[1][1] == 0:  # levels at index lead cost nothing: all j take them
+                tail *= p ** hull[1][0]
+                hull = [(a - hull[1][0], y) for a, y in hull[1:]]
+            if len(hull) == 1:
+                continue
+            # C(j), the costed levels of j factors: with (a, y) the last vertex within the
+            # budget, j (lead + y) <= N, it is j a plus what the next rise buys with the rest
+            s, j, prev = len(hull) - 1, 1, 0
+            while j <= top:
+                while j * (hull[s][1] + lead) > order:
+                    s -= 1
+                a, y = hull[s]
+                end = min(order // (y + lead), top) if y + lead else top  # the last j at this vertex
+                if s == len(hull) - 1:  # every level fits: C(j) = j a
+                    step = p**a
+                    for i in range(max(j, 2), end + 1):
+                        up[i] *= step
+                    prev, j = end * a, end + 1
+                    continue
+                da, dy = hull[s + 1][0] - a, hull[s + 1][1] - y
+                slope, start = a * dy - (lead + y) * da, order * da  # C(j) = (slope j + start) // dy
+                while j <= end:
+                    levels = (slope * j + start) // dy
+                    if levels > prev and j > 1:
+                        up[j] *= p ** (levels - prev)
+                    elif levels < prev:
+                        down[j] *= p ** (prev - levels)
+                    prev = levels
+                    if slope > 0:  # the next j where C(j) changes, or the next vertex
+                        j = min(-(((levels + 1) * dy - start) // -slope), end + 1)
+                    elif slope < 0:
+                        j = min((start - levels * dy) // -slope + 1, end + 1)
+                    else:
+                        j = end + 1
+        # a prime p^2 > N has at most one level, at cost c = w(1) - lead, so
+        # C(j) = min(j, B // c): it grows by 1 while j w(1) <= N, then drops
+        # by 1 at each j where B // c does
+        singles = sorted(zip(w1[split:], primes[split:]))
+        cuts = [m for m, _ in singles]
+        prods = list(accumulate((p for _, p in singles), mul, initial=1))
+        for j in range(2, top + 1):
+            up[j] *= prods[bisect_right(cuts, order // j)]
+        for m, p in singles if lead else ():
+            c, t = m - lead, order // m
+            while t and (j := (order - t * c) // lead + 1) <= top:  # C(j) = t - 1 from j on
+                down[j] *= p
+                t -= 1
+        denoms = [1, denom][: k + 1]
+        for j in range(2, top + 1):
+            denoms.append(denoms[-1] * up[j] * tail // down[j])
+        return denoms + [denoms[-1]] * (k + 1 - len(denoms))  # rows past top are 0 to q^N
 
     def extend(self, order: int, free: bool = False) -> None:
         """Make rows[0..k][0..order] available."""
@@ -362,19 +477,22 @@ class _PowerRow:
             return
         old = len(self.base)
         if order >= old:
-            base, denom = _scaled_rule_base(self.rule, order)
+            base, denom, dens = _scaled_rule_base(self.rule, order)
             scale, rem = divmod(denom, self.denom)
             if rem or [c * scale for c in self.base] != base[:old]:
                 raise ValueError(f"series rule {self.rule!r} changed its coefficients below q^{old}")
-            if scale != 1:  # every stored row moves to the new denom before denom changes
-                for j, row in enumerate(rows[2:], 2):
-                    if not row:  # so are the rows above it: a fresh ladder rescales nothing
-                        break
-                    factor = scale**j
-                    for n, c in enumerate(row):
-                        row[n] = c * factor
-            self.base, self.denom = base, denom
-        base = self.base
+            denoms = self._denominators(denom, base, dens)
+            for j, row in enumerate(rows[2:], 2):  # every stored row moves to its new D_j
+                if not row:  # so are the rows above it: a fresh ladder rescales nothing
+                    break
+                r = math.gcd(denoms[j], self.denoms[j])
+                up, down = denoms[j] // r, self.denoms[j] // r
+                if down != 1:  # only when a d_m above the old order is now factored
+                    row[:] = [_divide_exactly(c * up, down, j, n) for n, c in enumerate(row)]
+                elif up != 1:
+                    row[:] = [c * up for c in row]
+            self.base, self.denom, self.denoms = base, denom, denoms
+        base, denom, denoms = self.base, self.denom, self.denoms
         rows[0] += [int(n == 0) for n in range(len(rows[0]), order + 1)]
         if self.k >= 1:
             rows[1] = base
@@ -385,20 +503,33 @@ class _PowerRow:
         s = next((i for i, w in enumerate(weights) if w), 1)  # e_i = 0 for i < s
         for j in range(2, self.k + 1):
             row = rows[j]
-            if not row:
-                row.append(base[0] ** j)
+            if not row:  # f_0^j D_j = f_0^(j-1) D_(j-1) f_0 denom D_j / (denom D_(j-1))
+                row.append(_divide_exactly(rows[j - 1][0] * base[0] * denoms[j], denom * denoms[j - 1], j, 0)
+                           if base[0] else 0)
             top = order - (self.k - j) * s if free else order  # the band row k needs
             row += [0] * (min(j * lead, top + 1) - len(row))
+            if len(row) <= top:  # the multiplier j g D_j / (denom D_(j-1)), reduced
+                up, down = j * g * denoms[j], denom * denoms[j - 1]
+                r = math.gcd(up, down)
+                up, down = up // r, down // r
             sums = toeplitz.rows(rows[j - 1], (j - 1) * lead, len(row), top + 1)
             if free and j > 2:
                 rows[j - 1] = None  # the kernel's limb image of row j - 1 replaces it
-            jg = j * g
             for n, acc in enumerate(sums, len(row)):  # runs sums to its end, which frees its buffers
-                c, rem = divmod(jg * acc, n)
-                assert rem == 0, "the q d/dq step divides exactly"
+                c, rem = divmod(up * acc, down * n)
+                if rem:
+                    raise ArithmeticError(f"row {j} of the power ladder is not an integer at q^{n}")
                 row.append(c)
         if free:
             self.freed = True
+
+
+def _divide_exactly(num: int, den: int, j: int, n: int) -> int:
+    """num / den, which must be an integer: entry n of power row j."""
+    c, rem = divmod(num, den)
+    if rem:
+        raise ArithmeticError(f"row {j} of the power ladder is not an integer at q^{n}")
+    return c
 
 
 # ---------------------------------------------------------------------------

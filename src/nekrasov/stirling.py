@@ -278,6 +278,6 @@ def mode_bound_check(k_vec: Iterable[int], n: int) -> ModeResult:
     """Check that the leftmost mode of q_coeffs(k_vec) (that of its numerators) is at most s."""
     counts = _nonzero_counts(k_vec)
     s, _ = descent_threshold(counts, n)
-    coeffs, _ = q_coeff_numerators(counts)
+    coeffs = _product(tuple(sorted(counts)))  # read in place: the product has degree sum(counts)
     mode = coeffs.index(max(coeffs))
     return ModeResult(mode, s, mode <= s)

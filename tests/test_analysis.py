@@ -39,6 +39,7 @@ from nekrasov.series import (
     custom_series,
     f_series,
     register_series_rule,
+    series_multiply,
     series_power,
     sigma_minus1,
 )
@@ -315,14 +316,17 @@ KERNEL_RULES = [
 
 
 def _row_values(row: _PowerRow) -> list[Fraction]:
-    return [Fraction(c, row.denom**row.k) for c in row.nums]
+    return [Fraction(c, row.denoms[row.k]) for c in row.nums]
 
 
 @pytest.mark.parametrize("rule", KERNEL_RULES)
 def test_power_row_matches_series_power(rule):
     f = custom_series(rule, 60)
+    power = series_power(f, 0)
     for k in range(10):
-        oracle = list(series_power(f, k).coeffs)
+        # series_power(f, k) takes k - 1 successive products with f: each from the last
+        power = series_multiply(power, f) if k > 1 else series_power(f, k)
+        oracle = list(power.coeffs)
         built = _PowerRow(k, rule)
         built.extend(60)
         assert _row_values(built) == oracle
@@ -367,8 +371,10 @@ def test_power_row_square_grown_equals_the_full_product(rule):
     row = _PowerRow(2, rule)
     for order in (64, 100, 200):
         row.extend(order)
-    base = row.base
-    assert row.nums == [sum(base[i] * base[n - i] for i in range(n + 1)) for n in range(201)]
+    base, scale = row.base, row.denoms[2]
+    assert [c * row.denom**2 for c in row.nums] == [
+        sum(base[i] * base[n - i] for i in range(n + 1)) * scale for n in range(201)
+    ]
 
 
 def test_power_row_refuses_a_rule_that_rewrites_its_prefix():
@@ -401,7 +407,7 @@ class _MillerRow:
         old = len(self.nums)
         if order < old:
             return
-        base, denom = _scaled_rule_base(self.rule, order)
+        base, denom, _ = _scaled_rule_base(self.rule, order)
         scale, rem = divmod(denom, self.denom)
         assert rem == 0 and [c * scale for c in self.base] == base[:old]
         k = self.k
@@ -438,7 +444,11 @@ def _oracle(k: int, rule: str, orders) -> _MillerRow:
 
 
 def _same_row(row: _PowerRow, oracle: _MillerRow) -> bool:
-    return (row.nums, row.denom, row.base) == (oracle.nums, oracle.denom, oracle.base)
+    # the oracle keeps row k over denom^k, the ladder over its own D_k: compare values
+    k = row.k
+    return (row.denom, row.base) == (oracle.denom, oracle.base) and [
+        Fraction(c, row.denoms[k]) for c in row.nums
+    ] == [Fraction(c, oracle.denom**k) for c in oracle.nums]
 
 
 @pytest.mark.parametrize("rule", KERNEL_RULES)
@@ -491,7 +501,7 @@ def test_freeing_build_equals_full_build(rule):
 
 class _LoopRow(_PowerRow):
     """The ladder with its sums as first written, one Python loop per entry:
-    the oracle of `_ExactToeplitz`.  Same rows, denominators and free band."""
+    the oracle of `_ExactToeplitz`.  Same rows and free band, row j over denom^j."""
 
     def extend(self, order: int, free: bool = False) -> None:
         if self.freed:
@@ -501,7 +511,7 @@ class _LoopRow(_PowerRow):
             return
         old = len(self.base)
         if order >= old:
-            base, denom = _scaled_rule_base(self.rule, order)
+            base, denom, _ = _scaled_rule_base(self.rule, order)
             scale = denom // self.denom
             assert base[:old] == [c * scale for c in self.base]
             rows[2:] = [[c * scale**j for c in row] for j, row in enumerate(rows[2:], 2)]
@@ -546,10 +556,14 @@ register_series_rule("huge-numerators-test", _huge_numerators)
 LADDER_RULES = KERNEL_RULES + ["huge-numerators-test"]
 
 
-def _same_ladder(row: _PowerRow, oracle: _PowerRow) -> bool:
-    return (row.rows, row.denom, row.base, row.freed) == (
-        oracle.rows, oracle.denom, oracle.base, oracle.freed
-    )
+def _same_ladder(row: _PowerRow, oracle: _LoopRow) -> bool:
+    # the oracle keeps row j over denom^j, the ladder over its own D_j: compare values
+    def values(rows, denoms):
+        return [None if r is None else [Fraction(c, d) for c in r] for r, d in zip(rows, denoms)]
+
+    return (row.denom, row.base, row.freed) == (oracle.denom, oracle.base, oracle.freed) and values(
+        row.rows, row.denoms
+    ) == values(oracle.rows, [oracle.denom**j for j in range(oracle.k + 1)])
 
 
 @pytest.mark.parametrize("rule", LADDER_RULES)
@@ -564,8 +578,165 @@ def test_ladder_matches_the_loop(rule):
                 assert _same_ladder(row, oracle), (k, orders, free, order)
 
 
+# ---------------------------------------------------------------------------
+# Row denominators D_j: the valuation bound against Fraction powers
+# ---------------------------------------------------------------------------
+
+def _third_constant(n: int) -> RationalSeries:
+    # sigma_{-1} with f_0 = 1/3: every factor may take index 0 and its 3 for free
+    return RationalSeries([Fraction(1, 3)] + list(f_series(n).coeffs[1:]))
+
+
+def _far_denominators(n: int) -> RationalSeries:
+    # every denominator is above any order a test reaches, so none is factored
+    return RationalSeries([Fraction(1, m + 10**6) for m in range(n + 1)])
+
+
+def _far_start(n: int) -> RationalSeries:
+    # sigma_{-1} but 1/(m + 10^6) below q^3, denominators above the order whose primes
+    # 2, 3 and 5 also divide factored ones, so those keep their power in denom; and
+    # f_200 = 1/263, above the order 256, where D_2 holds 263^2, but factored from the
+    # order 263 on, where two factors cannot both afford q^200: D_2 keeps one 263, and
+    # growing 256 -> 300 divides row 2 by it
+    coeffs = [Fraction(1, m + 10**6) if m < 3 else c for m, c in enumerate(f_series(n).coeffs)]
+    return RationalSeries([Fraction(1, 263) if m == 200 else c for m, c in enumerate(coeffs)])
+
+
+def _clumped_twos(n: int) -> RationalSeries:
+    # 1/m, but 2/m for m = 2 mod 4: 2^1 and 2^2 first divide a denominator at q^4,
+    # so the costs of the powers of 2 (3, 3, 7 past the lead) are not convex
+    return RationalSeries([0] + [Fraction(2 if m % 4 == 2 else 1, m) for m in range(1, n + 1)])
+
+
+register_series_rule("third-constant-test", _third_constant)
+register_series_rule("far-denominators-test", _far_denominators)
+register_series_rule("far-start-test", _far_start)
+register_series_rule("clumped-twos-test", _clumped_twos)
+DENOMINATOR_RULES = [
+    "sigma-minus-one", "remark-series", "third-constant-test", "far-start-test", "clumped-twos-test",
+]
+
+
+@pytest.fixture(scope="module")
+def fraction_squares():
+    """rule -> f^0, f, f^2 at order 300 as Fractions, f^2 = series_power(f, 2)."""
+    squares = {}
+    for rule in DENOMINATOR_RULES:
+        f = custom_series(rule, 300)
+        squares[rule] = [list(series_power(f, j).coeffs) for j in range(3)]
+    return squares
+
+
+@pytest.mark.parametrize("rule", DENOMINATOR_RULES)
+def test_row_denominators_grown_and_built_give_the_fraction_powers(rule, fraction_squares):
+    oracle, k = fraction_squares[rule], 2
+    grown = _PowerRow(k, rule)
+    for order in (64, 128, 256, 300):
+        grown.extend(order)
+        for j in range(k + 1):
+            d, row = grown.denoms[j], grown.rows[j]
+            assert len(row) == order + 1 and all(
+                c * x.denominator == x.numerator * d for c, x in zip(row, oracle[j])
+            ), (order, j)
+    built = _PowerRow(k, rule)
+    built.extend(300)
+    assert (built.rows, built.denoms) == (grown.rows, grown.denoms)
+    assert all(built.denom**j % d == 0 for j, d in enumerate(built.denoms))
+
+
+def _valuation(d: int, p: int) -> int:
+    e = 0
+    while d % p == 0:
+        d //= p
+        e += 1
+    return e
+
+
+def _most_valuation(v: list[int], lead: int, j: int) -> int | None:
+    """max sum_i v[m_i] over j indices m_i >= lead with sum m_i <= N = len(v) - 1, by dynamic programming."""
+    best = [0] + [None] * (len(v) - 1)  # best[s]: the most over the tuples so far with sum s
+    for _ in range(j):
+        best = [max((best[s - m] + v[m] for m in range(lead, s + 1) if best[s - m] is not None), default=None)
+                for s in range(len(v))]
+    return max((b for b in best if b is not None), default=None)
+
+
+def _random_rule(seed: int):
+    # numerators and denominators up to 60, zeros included: orders 12 and 30 see
+    # denominators above the order, repeated powers and non-convex costs
+    def rule(n: int) -> RationalSeries:
+        rng = random.Random(seed)
+        return RationalSeries([Fraction(rng.randrange(-2, 4), rng.randrange(1, 61)) for _ in range(n + 1)])
+    return rule
+
+
+for _seed in range(4):
+    register_series_rule(f"random-{_seed}-test", _random_rule(_seed))
+
+
+@pytest.mark.parametrize("rule", [
+    "sigma-minus-one", "remark-series", "third-constant-test", "late-start-test", "far-denominators-test",
+    "far-start-test", "clumped-twos-test", "mixed-signs-test", *(f"random-{seed}-test" for seed in range(4)),
+])
+def test_row_denominators_against_the_brute_force_valuations(rule):
+    # v_p(D_j) bounds the most j factors can carry, the maximum when the costs
+    # w(a) - lead of p's powers are convex; a prime of a denominator above N
+    # keeps its power in denom, charged j times
+    for order, k in ((12, 16), (30, 6)):
+        base, denom, dens = _scaled_rule_base(rule, order)
+        lead = next((m for m, c in enumerate(base) if c), order + 1)
+        row = _PowerRow(k, rule)
+        for step in (order // 2, order):
+            row.extend(step)
+        assert [Fraction(c, row.denoms[k]) for c in row.nums] == list(
+            series_power(custom_series(rule, order), k).coeffs)
+        big = [d for d in dens if d > order]
+        for p in (p for p in range(2, order + 1) if all(p % q for q in range(2, p)) and denom % p == 0):
+            if any(d % p == 0 for d in big):
+                assert all(_valuation(row.denoms[j], p) == j * _valuation(denom, p) for j in range(k + 1))
+                continue
+            v = [_valuation(d, p) for d in dens]
+            w = [min(m for m in range(order + 1) if v[m] >= a) for a in range(1, max(v) + 1)]
+            costs = [0] + [m - lead for m in w]
+            convex = all(x - y <= z - x for y, x, z in zip(costs, costs[1:], costs[2:]))
+            for j in range(1, min(k, order // lead if lead else k) + 1):
+                most, bound = _most_valuation(v, lead, j), _valuation(row.denoms[j], p)
+                assert most <= bound if not convex else most == bound, (order, p, j)
+
+
+def test_row_denominators_pin_the_order_512_ladder():
+    row = _PowerRow(8, "sigma-minus-one")
+    row.extend(512)
+    # denom^8 has 5942 bits; row 8's true common denominator has 1964
+    assert row.denoms[8].bit_length() <= 1964 < (row.denom**8).bit_length()
+    assert all(row.denom**j % d == 0 for j, d in enumerate(row.denoms))
+    # D_5 lacks 509: five indices from 1 up that sum to at most 512 cannot use 509
+    assert row.denoms[4] % 509 == 0 and row.denoms[5] % 509
+
+
+def test_tall_ladder_shares_one_denominator_past_the_order():
+    # f^j is 0 to q^N for j > N, and those rows share D_N, one int object
+    row = _PowerRow(5000, "sigma-minus-one")
+    row.extend(100, free=True)
+    assert row.nums == [0] * 101 and row.denoms[100] == 1
+    assert len({id(d) for d in row.denoms[100:]}) == 1
+
+
+@pytest.mark.parametrize("short", [2, 3, 467])
+def test_ladder_refuses_a_row_denominator_one_prime_short(short):
+    # at order 512 D_8 is row 8's exact common denominator, so each of its primes is needed
+    class ShortRow(_PowerRow):
+        def _denominators(self, denom, nums, dens):
+            denoms = super()._denominators(denom, nums, dens)
+            return denoms[:-1] + [denoms[-1] // short]
+
+    row = ShortRow(8, "sigma-minus-one")
+    with pytest.raises(ArithmeticError, match=r"row 8 of the power ladder is not an integer at q\^\d+"):
+        row.extend(512)
+
+
 def test_huge_numerators_take_the_split_weights():
-    base, _ = _scaled_rule_base("huge-numerators-test", 100)
+    base, _, _ = _scaled_rule_base("huge-numerators-test", 100)
     kernel = _ExactToeplitz([i * c for i, c in enumerate(base)])
     assert len(kernel.shifts) > 1 and kernel.w == 16
 
@@ -674,7 +845,7 @@ def test_freeing_build_computes_only_the_band(monkeypatch):
     k = 40
     row = _PowerRow(k, "sigma-minus-one")
     row.extend(k, free=True)
-    assert row.nums[k] == row.denom**k  # c_{k,k} = 1
+    assert row.nums[k] == row.denoms[k]  # c_{k,k} = 1
     assert calls == [(j - 1, j, j + 1) for j in range(2, k + 1)]
     # mixed-signs-test has a constant term, so every entry of the band is computed
     calls.clear()

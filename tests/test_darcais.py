@@ -337,6 +337,16 @@ def test_refusal_leaves_a_grown_table_alone():
     assert table.int_cols == cols
 
 
+def test_table_refuses_a_row_that_does_not_divide():
+    # a stored D seven times too large rescales the table by 11! // (7 10!) = 1, not 11,
+    # on the way to n = 11, and 10! Q_11 is no integer (its top coefficient is 1/11!)
+    table = _QTable()
+    table.ensure(10)
+    table.denom *= 7
+    with pytest.raises(ArithmeticError, match=r"row 11 of the Q table is not an integer at z\^\d+"):
+        table.ensure(11)
+
+
 # ---------------------------------------------------------------------------
 # The falling-factorial table that the common-denominator table replaced,
 # kept as the oracle
@@ -364,7 +374,7 @@ class FallingFactorialTable:
             self.cols.append([ints[n]])
 
     def a_cross(self, a: int, b: int, n: int) -> Fraction:
-        """A_{n,b} = a! sum_i perm(n, i) R_{n-i}[a] c_{i,j} denom^j / (b! n! denom^j), j = b - a."""
+        """A_{n,b} = a! sum_i perm(n, i) R_{n-i}[a] c_{i,j} D_j / (b! n! D_j), j = b - a."""
         self.ensure(n)
         j = b - a
         powers = _PowerRow(j, "sigma-minus-one")
@@ -374,7 +384,7 @@ class FallingFactorialTable:
         for i in range(n - a, j - 1, -1):
             acc = acc * (n - i) + col_a[n - i - a] * c[i]
         num = math.factorial(a) * math.perm(n, j) * acc
-        return Fraction(num, math.factorial(b) * math.factorial(n) * powers.denom**j)
+        return Fraction(num, math.factorial(b) * math.factorial(n) * powers.denoms[j])
 
 
 @pytest.fixture(scope="module")

@@ -553,7 +553,7 @@ def test_ball_power_encloses_exact_rows_across_blocks(sigma_thirds_rows, dtype):
     ball = BallSeries.from_fractions(custom_series("sigma-thirds-test", BLOCKS_ORDER).coeffs, dtype)
     for k in range(1, 9):
         lo, hi = ball.power(k).bounds()
-        scale = sigma_thirds_rows.denom**k
+        scale = sigma_thirds_rows.denoms[k]
         for n, num in enumerate(sigma_thirds_rows.rows[k]):
             assert _as_fraction(lo[n]) * scale <= num <= _as_fraction(hi[n]) * scale, (k, n)
             if num:
