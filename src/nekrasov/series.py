@@ -14,11 +14,10 @@ separate type and is never substituted for the exact one implicitly.
 from __future__ import annotations
 
 import math
-from bisect import bisect_right
 from fractions import Fraction
 from functools import partial
-from itertools import accumulate, compress, repeat
-from operator import add, lshift, mul
+from itertools import compress, repeat
+from operator import add, lshift
 from typing import Callable, Sequence
 
 import numpy as np
@@ -397,12 +396,10 @@ class _PowerRow:
             if sieve[p]:
                 sieve[p * p :: p] = bytes(len(range(p * p, order + 1, p)))
         primes = [p for p in compress(range(order + 1), sieve) if not rest % p]
-        # w(a) is the least first[v] over the multiples v <= N of p^a
-        w1 = [min(first[p::p]) for p in primes]
-        split = bisect_right(primes, math.isqrt(order))
         up, down = [1] * (top + 1), [1] * (top + 1)  # D_j / (D_{j-1} tail) = up[j] / down[j]
-        for p, m in zip(primes[:split], w1[:split]):
+        for p in primes:
             w, q = [0], p
+            m = min(first[p::p])  # w(a) is the least first[v] over the multiples v <= N of p^a
             while m <= order:
                 w.append(m)
                 q *= p
@@ -448,19 +445,6 @@ class _PowerRow:
                         j = min((start - levels * dy) // -slope + 1, end + 1)
                     else:
                         j = end + 1
-        # a prime p^2 > N has at most one level, at cost c = w(1) - lead, so
-        # C(j) = min(j, B // c): it grows by 1 while j w(1) <= N, then drops
-        # by 1 at each j where B // c does
-        singles = sorted(zip(w1[split:], primes[split:]))
-        cuts = [m for m, _ in singles]
-        prods = list(accumulate((p for _, p in singles), mul, initial=1))
-        for j in range(2, top + 1):
-            up[j] *= prods[bisect_right(cuts, order // j)]
-        for m, p in singles if lead else ():
-            c, t = m - lead, order // m
-            while t and (j := (order - t * c) // lead + 1) <= top:  # C(j) = t - 1 from j on
-                down[j] *= p
-                t -= 1
         denoms = [1, denom][: k + 1]
         for j in range(2, top + 1):
             denoms.append(denoms[-1] * up[j] * tail // down[j])

@@ -670,13 +670,22 @@ def _random_rule(seed: int):
     return rule
 
 
+def _random_late_rule(seed: int, lead: int):
+    # the same draws from q^lead on: every factor spends lead of the budget
+    def rule(n: int) -> RationalSeries:
+        return RationalSeries(([0] * lead + list(_random_rule(seed)(n).coeffs))[: n + 1])
+    return rule
+
+
 for _seed in range(4):
     register_series_rule(f"random-{_seed}-test", _random_rule(_seed))
+    register_series_rule(f"random-{_seed}-late-test", _random_late_rule(_seed, 2 + _seed % 2))
 
 
 @pytest.mark.parametrize("rule", [
     "sigma-minus-one", "remark-series", "third-constant-test", "late-start-test", "far-denominators-test",
     "far-start-test", "clumped-twos-test", "mixed-signs-test", *(f"random-{seed}-test" for seed in range(4)),
+    *(f"random-{seed}-late-test" for seed in range(4)),
 ])
 def test_row_denominators_against_the_brute_force_valuations(rule):
     # v_p(D_j) bounds the most j factors can carry, the maximum when the costs
@@ -685,6 +694,7 @@ def test_row_denominators_against_the_brute_force_valuations(rule):
     for order, k in ((12, 16), (30, 6)):
         base, denom, dens = _scaled_rule_base(rule, order)
         lead = next((m for m, c in enumerate(base) if c), order + 1)
+        top = min(k, order // lead) if lead else k  # rows above top are 0 to q^N
         row = _PowerRow(k, rule)
         for step in (order // 2, order):
             row.extend(step)
@@ -693,13 +703,13 @@ def test_row_denominators_against_the_brute_force_valuations(rule):
         big = [d for d in dens if d > order]
         for p in (p for p in range(2, order + 1) if all(p % q for q in range(2, p)) and denom % p == 0):
             if any(d % p == 0 for d in big):
-                assert all(_valuation(row.denoms[j], p) == j * _valuation(denom, p) for j in range(k + 1))
+                assert all(_valuation(row.denoms[j], p) == j * _valuation(denom, p) for j in range(top + 1))
                 continue
             v = [_valuation(d, p) for d in dens]
             w = [min(m for m in range(order + 1) if v[m] >= a) for a in range(1, max(v) + 1)]
             costs = [0] + [m - lead for m in w]
             convex = all(x - y <= z - x for y, x, z in zip(costs, costs[1:], costs[2:]))
-            for j in range(1, min(k, order // lead if lead else k) + 1):
+            for j in range(1, top + 1):
                 most, bound = _most_valuation(v, lead, j), _valuation(row.denoms[j], p)
                 assert most <= bound if not convex else most == bound, (order, p, j)
 
