@@ -41,12 +41,20 @@ def divisor_sigma(n: int) -> int:
 
 
 def sigma_sieve(n_max: int) -> list[int]:
-    """divisor_sigma(n) for all 1 <= n <= n_max, by sieving."""
-    sig = [0] * (n_max + 1)
-    for d in range(1, n_max + 1):
-        for m in range(d, n_max + 1, d):
-            sig[m] += d
-    return sig
+    """divisor_sigma(n) for all 1 <= n <= n_max, by sieving; entry 0 is 0.
+
+    Step d adds d + q to m = d*q for every divisor pair d <= q, over the
+    strided slice m = d*d, d*(d+1), ..., and takes d back off the square pair
+    d*d: isqrt(n_max) numpy steps.  The entries come back as Python ints,
+    since the exact callers multiply them into big integers.
+    """
+    if n_max < 0:
+        raise ValueError("truncation order must be non-negative")
+    sig = np.zeros(n_max + 1, np.int64)
+    for d in range(1, math.isqrt(n_max) + 1):
+        sig[d * d :: d] += np.arange(2 * d, n_max // d + d + 1, dtype=np.int64)
+        sig[d * d] -= d
+    return sig.tolist()
 
 
 def sigma_minus1(n: int) -> Fraction:
@@ -97,9 +105,7 @@ class RationalSeries:
 
 def f_series(n_max: int) -> RationalSeries:
     """The divisor-sum series f(q) = sum_{n>=1} sigma_{-1}(n) q^n, truncated."""
-    if n_max < 0:
-        raise ValueError("truncation order must be non-negative")
-    sig = sigma_sieve(n_max) if n_max >= 1 else [0]
+    sig = sigma_sieve(n_max)  # refuses a negative order
     coeffs = [Fraction(0)] + [Fraction(sig[n], n) for n in range(1, n_max + 1)]
     return RationalSeries(coeffs)
 

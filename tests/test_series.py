@@ -71,6 +71,43 @@ def test_sigma_sieve_matches_divisor_sigma():
     assert all(sieve[n] == divisor_sigma(n) for n in range(1, 301))
 
 
+def _loop_sigma_sieve(n_max):
+    """The interpreted double loop the numpy sieve replaced: every d adds itself to its multiples."""
+    sig = [0] * (n_max + 1)
+    for d in range(1, n_max + 1):
+        for m in range(d, n_max + 1, d):
+            sig[m] += d
+    return sig
+
+
+@pytest.mark.parametrize("orders", [range(401), (4095, 4096, 4097, 8192, 8193, 10**4)])
+def test_sigma_sieve_matches_the_loop(orders):
+    # 4096 = 64^2 ends on a square pair; the exact callers need Python ints, not np.int64
+    for n in orders:
+        sieve = sigma_sieve(n)
+        assert sieve == _loop_sigma_sieve(n), n
+        assert all(type(x) is int for x in sieve), n
+
+
+@pytest.mark.parametrize("n", [-1, -5])
+@pytest.mark.parametrize("build", [sigma_sieve, BallSeries.divisor_sum_series, f_series])
+def test_negative_order_is_refused(build, n):
+    with pytest.raises(ValueError, match="^truncation order must be non-negative$"):
+        build(n)
+
+
+@pytest.mark.parametrize("dtype", [np.float64] + ([np.longdouble] if series._ld_available() else []))
+def test_divisor_sum_series_midpoints_from_the_loop(dtype):
+    # one correctly-rounded division of dtype-exact operands: bit-identical to the loop's sums
+    n_max = 8192
+    ball = BallSeries.divisor_sum_series(n_max, dtype)
+    idx = np.arange(n_max + 1, dtype=dtype)
+    idx[0] = 1
+    assert np.array_equal(ball.mid, np.array(_loop_sigma_sieve(n_max), dtype) / idx)
+    unit = np.finfo(dtype).eps / 2
+    assert (ball.eps, ball.tau, ball.lead, ball.unit) == (2 * unit, 0, 1, unit)
+
+
 def test_f_series_values():
     assert f_series(0).coeffs == (Fraction(0),)
     assert f_series(3).coeffs == (0, 1, Fraction(3, 2), Fraction(4, 3))
