@@ -17,13 +17,14 @@ import json
 import math
 import os
 import sys
+from bisect import insort
 from fractions import Fraction
 from itertools import chain
 from operator import itemgetter, mul
 from typing import Callable, Iterable, Sequence
 
 from . import analysis, darcais, series, stirling
-from .partitions import enumerate_partitions, multiplicities, partition_count
+from .partitions import partition_count
 
 EXIT_OK = 0
 EXIT_VIOLATION = 1
@@ -220,6 +221,23 @@ def _checks_logconcave(n_max: int) -> list[tuple[str, bool]]:
     return checks
 
 
+def _multiplicity_multisets(n_max: int) -> list[set[tuple[int, ...]]]:
+    """For m = 0..n_max, the sorted tuples of part multiplicities over the partitions of m.
+
+    A partition of m takes each part size p some k >= 0 times with sum p k = m;
+    adding the sizes one at a time, m from the top down, takes each p once.
+    """
+    sets = [{()}] + [set() for _ in range(n_max)]
+    for p in range(1, n_max + 1):
+        for m in range(n_max, p - 1, -1):
+            for k in range(1, m // p + 1):
+                for key in sets[m - p * k]:
+                    grown = list(key)
+                    insort(grown, k)
+                    sets[m].add(tuple(grown))
+    return sets
+
+
 def _checks_stirling(n_max: int) -> list[tuple[str, bool]]:
     checks = []
     top = max(n_max, 10)
@@ -260,12 +278,11 @@ def _checks_stirling(n_max: int) -> list[tuple[str, bool]]:
     descent_ok = True
     mode_ok = True
     logconcave_ok = True
+    multisets = _multiplicity_multisets(part_cap)
     for n in range(2, part_cap + 1):
         # All three checks are symmetric in the multiplicities, so each
         # multiset of them is checked once per n.
-        for k_vec in dict.fromkeys(
-            tuple(sorted(multiplicities(part).values())) for part in enumerate_partitions(n)
-        ):
+        for k_vec in sorted(multisets[n]):
             descent_ok = descent_ok and stirling.descent_check(k_vec, n).holds
             mode_ok = mode_ok and stirling.mode_bound_check(k_vec, n).holds
             numerators, _ = stirling.q_coeff_numerators(k_vec)

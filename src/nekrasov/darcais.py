@@ -275,7 +275,7 @@ def coefficient_series(k: int, n_max: int) -> RationalSeries:
     """The series sum_n A_{n,k} q^n truncated at n_max."""
     if k < 0:
         raise ValueError("k must be non-negative")
-    _ladder.ensure(max(n_max, k))
+    _ladder.ensure(n_max)  # A_{m,k} = 0 for k > m: no row past n_max is read
     rows, zero = _ladder.rows, Fraction(0)
     return RationalSeries([rows[m][k] if m >= k else zero for m in range(n_max + 1)])
 

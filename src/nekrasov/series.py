@@ -203,7 +203,14 @@ def _scaled_rule_base(rule: str, n_max: int) -> tuple[list[int], int, list[int]]
     """A registered series as (numerators, denominator, reduced denominators d_m).
 
     The denominator is the lcm of the d_m, and numerator m is f_m times it.
+    The built-in sigma_{-1} rule reads f_m = sigma(m) / m off one sieve, with
+    no Fraction: d_m = m / gcd(sigma(m), m).
     """
+    if _SERIES_RULES.get(rule) is f_series:
+        sig = sigma_sieve(n_max)  # refuses a negative order
+        dens = [1] + [m // math.gcd(s, m) for m, s in enumerate(sig[1:], 1)]
+        denom = math.lcm(*dens)
+        return [0] + [s * denom // m for m, s in enumerate(sig[1:], 1)], denom, dens
     coeffs = custom_series(rule, n_max).coeffs
     dens = [c.denominator for c in coeffs]
     denom = math.lcm(*dens)
@@ -216,7 +223,10 @@ _EXACT_BITS = 53
 # Weights longer than this cannot be cut into 16-bit pieces whose products
 # with 16-bit limbs sum below 2^53: len(e) (2^16 - 1) 2^16 < 2^53.
 _MAX_WEIGHTS = 2**21
-_ROWS_PER_MATMUL = 16  # output entries per dgemm
+# output entries per dgemm, at most: 64 beat 16 (numpy's fixed cost per call)
+# on the exact scans k = 2..11; taller blocks, or blocks sized per call to a
+# buffer budget, were no faster on k = 2..8 and grow the buffers with the row
+_ROWS_PER_MATMUL = 64
 # limb columns per dgemm: at least 16, and as many as keep the float64 slice
 # of row j - 1 within 2^13 numbers, so a short row takes one dgemm per block
 _MIN_LIMBS_PER_MATMUL, _SLICE_FLOATS = 16, 2**13
@@ -236,6 +246,13 @@ class _ExactToeplitz:
     sum|e| < 2^21 and 16 while sum|e| < 2^37; past that e itself is cut into
     signed 16-bit pieces, one block of matmul rows each, which needs
     len(e) <= 2^21.  Each n is rebuilt from its limb sums with int.from_bytes.
+
+    A call takes its outputs _ROWS_PER_MATMUL at a time, or all in one block
+    when it has fewer.  Beside the limb image of x[lo:stop-1], its work
+    buffers are one block of the Toeplitz matrix (pieces x 64 x cols floats,
+    cols <= stop - 1 - lo), one limb slab (cols x chunk floats, chunk >= 16),
+    and the limb sums of one block with their int64 words (pieces x 64 x
+    width each, width the limbs per entry): 2.6 MB for 4096 entries of 20 limbs.
     """
 
     def __init__(self, e: list[int]):
@@ -284,12 +301,13 @@ class _ExactToeplitz:
         unit = int.from_bytes((1).to_bytes(w // 8, "little") * width, "little")
         bias = -sum(unit << _EXACT_BITS + s for s in self.shifts)
         pieces = len(self.shifts)
-        toeplitz = np.empty(pieces * _ROWS_PER_MATMUL * height)
+        tall = min(_ROWS_PER_MATMUL, stop - start)  # outputs per block; the buffers are sized to it
+        toeplitz = np.empty(pieces * tall * height)
         sliced = np.empty((height, chunk))
-        sums = np.empty((pieces * _ROWS_PER_MATMUL, width))
-        words = np.empty((pieces * _ROWS_PER_MATMUL, phases, width // phases), "<i8")
-        for n0 in range(start, stop, _ROWS_PER_MATMUL):
-            b = min(_ROWS_PER_MATMUL, stop - n0)
+        sums = np.empty((pieces * tall, width))
+        words = np.empty((pieces * tall, phases, width // phases), "<i8")
+        for n0 in range(start, stop, tall):
+            b = min(tall, stop - n0)
             cols = min(n0 + b - 1, stored) - lo  # m = lo..lo+cols-1, the image's last cols rows
             # block[t b + r, c] = piece t of e[n0 + r - (lo + cols - 1 - c)]
             first = _ROWS_PER_MATMUL + n0 - lo - cols + 1
@@ -605,20 +623,36 @@ def _convolve_prefix(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     doubled, with the part of a after it, so a pair of indices in different
     blocks is formed once.  Either way every output is a float sum of the same
     products as in np.convolve(a, b)[:n], grouped differently; doubling is exact.
+
+    np.convolve correlates the longer operand with the shorter one through a
+    reversed view, and its dot products ran about 15-20 % slower for some
+    addresses of a (OpenBLAS), so the float scans' time moved with unrelated
+    edits.  Each block product therefore first reverses the shorter operand
+    into a buffer that starts on a 64-byte boundary, and hands np.convolve a
+    reversed view of that: the same products in the same order.
     """
     n = len(a)
     out = np.zeros(n, dtype=np.result_type(a, b))
+    spare = np.empty(_BLOCK + 64 // out.itemsize, out.dtype)
+    rev = spare[-spare.ctypes.data % 64 // out.itemsize :][:_BLOCK]
+
+    def convolve(x: np.ndarray, y: np.ndarray) -> np.ndarray:
+        if len(y) > len(x):
+            x, y = y, x
+        np.copyto(rev[: len(y)], y[::-1])
+        return np.convolve(x, rev[len(y) - 1 :: -1])
+
     if b is a:
         for s in range(0, (n + 1) // 2, _BLOCK):  # a block at s >= n/2 reaches no index below n
             block = a[s : s + _BLOCK]
-            diag = np.convolve(block, block)[: n - 2 * s]
+            diag = convolve(block, block)[: n - 2 * s]
             out[2 * s : 2 * s + len(diag)] += diag
             t = s + len(block)
             if t < n - s:
-                out[s + t :] += 2 * np.convolve(block, a[t : n - s])[: n - s - t]
+                out[s + t :] += 2 * convolve(block, a[t : n - s])[: n - s - t]
     else:
         for s in range(0, n, _BLOCK):
-            out[s:] += np.convolve(a[s : s + _BLOCK], b[: n - s])[: n - s]
+            out[s:] += convolve(a[s : s + _BLOCK], b[: n - s])[: n - s]
     return out
 
 

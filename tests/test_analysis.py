@@ -2,6 +2,7 @@
 
 import math
 import random
+import tracemalloc
 from fractions import Fraction
 from operator import mul
 
@@ -33,6 +34,8 @@ from nekrasov.series import (
     BallSeries,
     RationalSeries,
     _ld_available,
+    _MIN_LIMBS_PER_MATMUL,
+    _ROWS_PER_MATMUL,
     _ExactToeplitz,
     _PowerRow,
     _scaled_rule_base,
@@ -745,6 +748,28 @@ def test_ladder_refuses_a_row_denominator_one_prime_short(short):
         row.extend(512)
 
 
+def _fraction_rule_base(rule: str, n_max: int) -> tuple[list[int], int, list[int]]:
+    """`_scaled_rule_base` through the rule's Fraction series: the oracle of the sieve path."""
+    coeffs = custom_series(rule, n_max).coeffs
+    dens = [c.denominator for c in coeffs]
+    denom = math.lcm(*dens)
+    return [c.numerator * (denom // d) for c, d in zip(coeffs, dens)], denom, dens
+
+
+def test_sigma_rule_base_from_the_sieve_matches_the_fractions(monkeypatch):
+    for n in range(601):
+        assert _scaled_rule_base("sigma-minus-one", n) == _fraction_rule_base("sigma-minus-one", n), n
+    # one sieve per order and no Fraction series; a registered rule still builds one
+    sieves, built = [], []
+    sieve, build = series.sigma_sieve, series.custom_series
+    monkeypatch.setattr(series, "sigma_sieve", lambda n: sieves.append(n) or sieve(n))
+    monkeypatch.setattr(series, "custom_series", lambda rule, n: built.append(rule) or build(rule, n))
+    _scaled_rule_base("sigma-minus-one", 64)
+    assert (sieves, built) == ([64], [])
+    assert _scaled_rule_base("remark-series", 64) == _fraction_rule_base("remark-series", 64)
+    assert built == ["remark-series"]
+
+
 def test_huge_numerators_take_the_split_weights():
     base, _, _ = _scaled_rule_base("huge-numerators-test", 100)
     kernel = _ExactToeplitz([i * c for i, c in enumerate(base)])
@@ -762,10 +787,10 @@ def _big_signed(rng: random.Random, count: int, bits: int) -> list[int]:
 
 @pytest.mark.parametrize(
     "e_bits, count, w, pieces",
-    [(10, 300, 32, 1),  # sum|e| < 2^21
-     (20, 300, 16, 1),  # sum|e| < 2^37
-     (45, 300, 16, 3),  # split into 16-bit pieces
-     (40, 20, 32, 3)],  # pieces short enough for 32-bit limbs
+    [(10, 4 * _ROWS_PER_MATMUL + 44, 32, 1),  # sum|e| < 2^21
+     (20, 4 * _ROWS_PER_MATMUL + 44, 16, 1),  # sum|e| < 2^37
+     (45, 4 * _ROWS_PER_MATMUL + 44, 16, 3),  # split into 16-bit pieces
+     (40, 20, 32, 3)],  # pieces short enough for 32-bit limbs: at most 32 weights, one block
 )
 def test_exact_toeplitz_matches_the_loop_on_each_path(e_bits, count, w, pieces):
     rng = random.Random(e_bits * count)
@@ -774,13 +799,39 @@ def test_exact_toeplitz_matches_the_loop_on_each_path(e_bits, count, w, pieces):
     kernel = _ExactToeplitz(e)
     assert (kernel.w, len(kernel.shifts)) == (w, pieces)
     x = _big_signed(rng, count, 300)
-    # one-entry blocks, a block boundary, a row that ends one entry into a block
-    for lo, start, stop in ((0, 1, count), (5, 6, 7), (3, count // 3, count + 3),
-                            (0, count - 1, count), (10, 11, min(44, count + 10)), (1, 2, min(35, count + 1))):
+    rows = _ROWS_PER_MATMUL  # the most outputs one block takes
+    # the whole row, one-entry rows, a row that ends one entry into its third
+    # block, three full blocks; a row past the weights is cut at lo + count
+    for lo, start, stop in ((0, 1, count), (5, 6, 7), (3, count // 3, count + 3), (0, count - 1, count),
+                            (10, 11, 12 + 2 * rows), (1, 2, 2 + 3 * rows)):
+        stop = min(stop, lo + count)
         assert list(kernel.rows(x, lo, start, stop)) == _loop_sums(e, x, lo, start, stop)
-    # row j - 1 of a freeing ladder is shorter than the band row j reads
+    # row j - 1 of a freeing ladder is shorter than the band row j reads, over several blocks
     short = x[: count // 4]
     assert list(kernel.rows(short, 2, 6, count)) == _loop_sums(e, short, 2, 6, count)
+
+
+def test_exact_toeplitz_work_buffers_stay_within_their_budget():
+    # a row of 4096 entries takes 64 blocks of _ROWS_PER_MATMUL outputs: beside
+    # the limb image of row j - 1 and two lists of its references, the buffers
+    # hold one block of the Toeplitz matrix, one limb slab, and the limb sums of
+    # a block with their words, bytes and ints; not a 4096-row block (128 MB)
+    rng = random.Random(4096)
+    e = [0] + [rng.randrange(2**8) for _ in range(4096)]
+    x = [rng.getrandbits(600) for _ in range(4096)]
+    kernel = _ExactToeplitz(e)
+    assert kernel.w == 32
+    size, height = 80, 4095  # bytes per entry, the columns a call reads
+    width = size // 4  # 32-bit limbs per entry
+    budget = 8 * (_ROWS_PER_MATMUL * height + height * _MIN_LIMBS_PER_MATMUL + _ROWS_PER_MATMUL * 4 * width)
+    tracemalloc.start()
+    try:
+        for _ in kernel.rows(x, 0, 1, 4097):
+            pass
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= height * size + 2 * 8 * height + budget + 2**16, (peak, budget)
 
 
 def test_exact_toeplitz_all_ones_limbs_need_16_bits():

@@ -12,7 +12,8 @@ import pytest
 
 from nekrasov import analysis, darcais, series, stirling
 from nekrasov.cli import (
-    EXIT_ABORTED, EXIT_OK, EXIT_VIOLATION, FORMATS, _checks_stirling, _write, main, parse_range,
+    EXIT_ABORTED, EXIT_OK, EXIT_VIOLATION, FORMATS, _checks_stirling, _multiplicity_multisets, _write,
+    main, parse_range,
 )
 from nekrasov.partitions import enumerate_partitions, multiplicities
 from nekrasov.series import RationalSeries, register_series_rule
@@ -260,6 +261,11 @@ def _multisets(n):
     return list(dict.fromkeys(
         tuple(sorted(multiplicities(p).values())) for p in enumerate_partitions(n)
     ))
+
+
+def test_multiplicity_multisets_match_the_partitions():
+    sets = _multiplicity_multisets(25)
+    assert [sets[n] == set(_multisets(n)) for n in range(26)] == [True] * 26
 
 
 @pytest.mark.parametrize("check", [

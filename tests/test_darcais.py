@@ -264,6 +264,16 @@ def test_columns_share_the_row_values():
     assert coefficient_series(5, 2).coeffs == (0, 0, 0)
 
 
+def test_column_above_the_order_builds_no_row_past_it(monkeypatch):
+    # A_{m,k} = 0 for k > m, so the table grows only to n_max, even for a k
+    # above the table limit
+    table = _QTable()
+    monkeypatch.setattr(darcais, "_ladder", table)
+    assert coefficient_series(200, 10).coeffs == (0,) * 11
+    assert coefficient_series(TABLE_LIMIT + 1, 12).coeffs == (0,) * 13
+    assert table.n_max == 12
+
+
 def test_table_growth_order_does_not_matter(monkeypatch):
     grown = _QTable()
     for n in (30, 10, 90, 50):

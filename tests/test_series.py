@@ -501,6 +501,39 @@ def test_convolve_prefix_matches_numpy_bit_for_bit(dtype, n):
         assert np.array_equal(got, np.convolve(x, y)[:n])
 
 
+def _view_convolve_prefix(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """`_convolve_prefix` as first written, np.convolve on the blocks themselves:
+    the oracle of its aligned buffer."""
+    n = len(a)
+    out = np.zeros(n, dtype=np.result_type(a, b))
+    if b is a:
+        for s in range(0, (n + 1) // 2, _BLOCK):
+            block = a[s : s + _BLOCK]
+            diag = np.convolve(block, block)[: n - 2 * s]
+            out[2 * s : 2 * s + len(diag)] += diag
+            t = s + len(block)
+            if t < n - s:
+                out[s + t :] += 2 * np.convolve(block, a[t : n - s])[: n - s - t]
+    else:
+        for s in range(0, n, _BLOCK):
+            out[s:] += np.convolve(a[s : s + _BLOCK], b[: n - s])[: n - s]
+    return out
+
+
+@pytest.mark.parametrize("dtype", DTYPES)
+def test_convolve_prefix_reproduces_the_view_kernel_on_floats(dtype):
+    # random floats round differently under any other order, so equal bits mean
+    # the same products in the same order, wherever a lies
+    rng = np.random.default_rng(7)
+    for n in (_BLOCK - 1, 2 * _BLOCK + 1, 3 * _BLOCK + 7):
+        spread = rng.random(n + 8).astype(dtype)
+        other = rng.random(n).astype(dtype)
+        for offset in range(4):
+            a = spread[offset : offset + n]
+            for x, y in ((a, other), (other, a), (a, a)):
+                assert np.array_equal(_convolve_prefix(x, y), _view_convolve_prefix(x, y)), (n, offset)
+
+
 class _Rounded:
     """A float value by its history: the most roundings any product in it passed.
 
