@@ -1,17 +1,18 @@
 """The polynomials Q_n(z) by four independent methods.
 
 Q_n(z) = sum over partitions of n of prod_{cells} (1 + z/hook^2), and
-sum_n Q_n(z) q^n = prod_{m>=1} (1 - q^m)^(-z-1).  The coefficient table
+sum_n Q_n(z) q^n = prod_{m>=1} (1 - q^m)^(-z-1) = P(q) exp(z f), with P the
+partition series and f = sum_n sigma_{-1}(n) q^n.  The coefficient table
 A[n][k] can equally be computed from trivial-leg hooks, from part-multiplicity
-binomials, or from the recurrence n Q_n = (z+1) sum_{j<=n} sigma(j) Q_{n-j}
-of Heim and Neuhauser (Integers 18, 2018), which is q d/dq of the product.
-The recurrence is the designated route for large n, up to TABLE_LIMIT; the
-enumeration methods are capped by a configurable partition budget.
+binomials, or as the paper's column P f^k / k!, with f^k read off the exact
+power ladder and P divided out by Euler's pentagonal recurrence: the route for
+large n, up to TABLE_LIMIT.  The enumeration methods are capped by a
+configurable partition budget.
 
-Every route runs in integers over a known common denominator (N! for the
-recurrence table of Q_0..Q_N, n! for the trivial-leg hooks and the
-multiplicities, (n!)^2 for the hooks) and makes Fractions only for the
-values it returns.  An enumeration route writes each partition's term as
+Every route runs in integers over known denominators (k! D_k for column k of
+the table, n! for the trivial-leg hooks and the multiplicities, (n!)^2 for
+the hooks) and makes Fractions only for the values it returns.  An
+enumeration route writes each partition's term as
 prod (z + r) / prod r over its roots r and sums the terms at z = 2^b
 (Kronecker substitution), with slots of b = bitlen(p(n) D) + n + 1 bits for
 its denominator D, which no coefficient can overflow.  It walks the
@@ -27,14 +28,13 @@ import os
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import accumulate
-from operator import mul
+from operator import add, mul, sub
 
 from .partitions import partition_count
-from .series import RationalSeries, _PowerRow, sigma_sieve
+from .series import RationalSeries, _PowerRow
 
 DEFAULT_ENUM_LIMIT = 32
-TABLE_LIMIT = 500  # the largest n of the recurrence table: about 150 MB peak RSS at the top
-SHARED_POWERS = 3  # a_cross_recursion keeps f^1..f^3 between calls; taller powers are built per call
+TABLE_LIMIT = 500  # the largest n of the Q table: about 180 MB peak RSS at the top, 45 MB of it the ladder
 ENUM_LIMIT_ENV = "NEKRASOV_ENUM_LIMIT"
 
 
@@ -56,9 +56,11 @@ def enumeration_limit(limit: int | None = None) -> int:
     if limit is not None:
         return limit
     env = os.environ.get(ENUM_LIMIT_ENV)
-    if env is not None:
-        return int(env)
-    return DEFAULT_ENUM_LIMIT
+    if env is None:
+        return DEFAULT_ENUM_LIMIT
+    if not env.strip().isdecimal():
+        raise ValueError(f"{ENUM_LIMIT_ENV} must be a non-negative integer, not {env!r}")
+    return int(env)
 
 
 @dataclass(frozen=True)
@@ -196,69 +198,67 @@ def q_via_multiplicities(n: int, limit: int | None = None) -> QPolynomial:
 
 
 class _QTable:
-    """Append-only integer table of a_n = D Q_n(z) over D = N!, grown to exactly the N asked for.
+    """Append-only integer table of b_n[k] = [q^n] P f^k D_k, grown to exactly the N asked for.
 
-    Row n follows from the Heim-Neuhauser recurrence n Q_n = (z+1) sum_j
-    sigma(j) Q_{n-j} as n a_n = (z+1) sum_j sigma(j) a_{n-j}: small weights
-    and one division by n, exact because n! Q_n has integer coefficients and
-    n <= N.  Growing the table to N' first rescales every stored entry by
-    N'!/N!, as `series._PowerRow.extend` rescales its rows.  Appending row n
-    also stores its Fraction row A[n][.] = a_n / D, so warm reads return
-    stored values; a column A[.][k] is read off the rows.  `a_cross_recursion`
-    reads f^1..f^SHARED_POWERS from one sigma_{-1} ladder, `series._PowerRow`
-    (the package's one exact kernel for powers of f), extended in place to
-    the table's n_max.  The tables are append-only and unlocked: the package
-    runs single-threaded (scan --jobs uses processes).
+    prod (1 - q^m)^(-z-1) = P exp(z f), so column k is A[.][k] = P f^k / k!, the
+    paper's A[n][k] = (1/k!) sum_i p(n-i) c[i][k], with c[i][k] D_k = rows[k][i]
+    read off `powers`, the package's one exact ladder of f^k (series._PowerRow).
+    Dividing by P is multiplying by Euler's prod (1 - q^m) = sum_j (-1)^j
+    q^(j(3j-1)/2), so b_n = rows[.][n] + b_{n-1} + b_{n-2} - b_{n-5} - b_{n-7} + ...
+    (one pass over all columns per pentagonal number) and A[n][k] = b_n[k] / (k! D_k).
+    Growing to N' extends the ladder to N' and moves each stored column k to
+    D_k(N') as the ladder moves its rows, exactly.  Row n also stores its
+    Fraction row A[n][.], which warm reads return.  The Heim-Neuhauser
+    recurrence is the tests' oracle.  Unlocked: the package runs single-threaded.
     """
 
     def __init__(self):
-        self.int_cols: list[list[int]] = []  # int_cols[k][m - k] = a_m[k] = D A[m][k]
-        self.denom = 1  # D = n_max!
+        self.ints: list[list[int]] = []  # ints[n][k] = b_n[k], over denoms[k]
+        self.denoms: list[int] = []  # the D_k of the stored columns
         self.rows: list[tuple[Fraction, ...]] = []  # rows[n][k] = A[n][k]
-        self.powers = _PowerRow(SHARED_POWERS, "sigma-minus-one")  # never freed
+        self.powers = _PowerRow(TABLE_LIMIT, "sigma-minus-one")  # never freed
 
     @property
     def n_max(self) -> int:
         return len(self.rows) - 1
 
     def ensure(self, n_max: int) -> None:
-        """Move the table to D = n_max! and append the rows up to n_max: a_n and A[n][.]."""
+        """Extend the ladder to n_max, move the stored columns to its D_k and append b_n, A[n][.]."""
         if n_max <= self.n_max:
             return
         if n_max > TABLE_LIMIT:
             raise ValueError(f"n={n_max} is above the Q table limit {TABLE_LIMIT}")
-        denom = math.factorial(n_max)
-        scale, self.denom = denom // self.denom, denom
-        for col in self.int_cols:
-            col[:] = [c * scale for c in col]
-        sigma = sigma_sieve(n_max)[1:]
-        for n in range(self.n_max + 1, n_max + 1):
-            if n == 0:
-                ints = [denom]
-            else:
-                # s[k + 1] = sum_j sigma(j) a_{n-j}[k]: column k holds a_k..a_{n-1}
-                s = [0] + [sum(map(mul, sigma, reversed(col))) for col in self.int_cols] + [0]
-                ints = []
-                for lo, hi in zip(s, s[1:]):  # n a_n[k] = s[k] + s[k + 1]
-                    c, rem = divmod(lo + hi, n)
+        powers, ints = self.powers, self.ints
+        powers.extend(n_max)
+        denoms = list(powers.denoms)
+        for k, old in enumerate(self.denoms[: self.n_max + 1]):  # column k moves to the new D_k
+            if old != denoms[k]:
+                r = math.gcd(denoms[k], old)
+                for n, b in enumerate(ints[k:], k):
+                    b[k], rem = divmod(b[k] * (denoms[k] // r), old // r)
                     if rem:
-                        raise ArithmeticError(f"row {n} of the Q table is not an integer at z^{len(ints)}")
-                    ints.append(c)
-            for col, c in zip(self.int_cols, ints):
-                col.append(c)
-            self.int_cols.append([ints[n]])
-            self.rows.append(tuple(Fraction(c, denom) for c in ints))
+                        raise ArithmeticError(f"column {k} of the Q table is not an integer at q^{n}")
+        self.denoms = denoms
+        # (m, sign) for the generalized pentagonal numbers m = j(3j -+ 1)/2 <= n_max, ascending
+        steps = [(m, add if j % 2 else sub) for j in range(1, math.isqrt(n_max) + 2)
+                 for m in (j * (3 * j - 1) // 2, j * (3 * j + 1) // 2) if m <= n_max]
+        scales = [math.factorial(k) * d for k, d in enumerate(denoms[: n_max + 1])]
+        for n in range(self.n_max + 1, n_max + 1):
+            b = [row[n] for row in powers.rows[: n + 1]]
+            for m, sign in steps:
+                if m > n:
+                    break
+                prev = ints[n - m]
+                b[: len(prev)] = map(sign, b, prev)
+            ints.append(b)
+            self.rows.append(tuple(map(Fraction, b, scales)))
 
 
 _ladder = _QTable()
 
 
 def q_via_recursion(n: int) -> QPolynomial:
-    """Q_n from the Heim-Neuhauser recurrence n Q_n = (z+1) sum_j sigma(j) Q_{n-j}.
-
-    The rows are computed once, in integers over one denominator, and cached; no
-    partition is enumerated, so this is the route for large n.
-    """
+    """Q_n from the cached table, whose column k is P f^k / k!: no partition is enumerated."""
     if n < 0:
         raise ValueError("n must be non-negative")
     _ladder.ensure(n)
@@ -266,7 +266,7 @@ def q_via_recursion(n: int) -> QPolynomial:
 
 
 def q_table_via_recursion(n_max: int) -> list[QPolynomial]:
-    """All of Q_0..Q_{n_max} from the cached recurrence table."""
+    """All of Q_0..Q_{n_max} from the cached table."""
     _ladder.ensure(n_max)
     return [QPolynomial(n, _ladder.rows[n]) for n in range(n_max + 1)]
 
@@ -283,23 +283,16 @@ def coefficient_series(k: int, n_max: int) -> RationalSeries:
 def a_cross_recursion(a: int, b: int, n: int) -> Fraction:
     """A_{n,b} = (a!/b!) sum_i A_{n-i,a} c_{i,b-a}, with c_{i,j} = [q^i] f^j.
 
-    Computed in integers from column a of the table, a_m[a] = D A_{m,a}, and
-    row j = b - a of the power ladder, rows[j][i] = c_{i,j} D_j with D_j the
-    row's own denominator (a row above SHARED_POWERS is built for this call
-    alone, two banded rows at a time):
-    A_{n,b} = a! sum_i a_{n-i}[a] rows[j][i] / (b! D D_j).
+    Computed in integers from column a of the table, b_m[a] = a! D_a A_{m,a},
+    and row j = b - a of its power ladder, rows[j][i] = c_{i,j} D_j:
+    A_{n,b} = sum_i b_{n-i}[a] rows[j][i] / (b! D_a D_j).
     """
     if not (0 <= a < b <= n):
         raise ValueError("requires 0 <= a < b <= n")
     _ladder.ensure(n)
-    j = b - a
-    shared = j <= SHARED_POWERS
-    powers = _ladder.powers if shared else _PowerRow(j, "sigma-minus-one")
-    # the shared rows grow with the table, so later requests up to its n_max extend nothing
-    powers.extend(_ladder.n_max if shared else n - a, free=not shared)
-    col_a = _ladder.int_cols[a]  # col_a[m - a] = a_m[a], read from m = n down to m = a
-    acc = sum(map(mul, col_a[n - a :: -1], powers.rows[j]))
-    return Fraction(math.factorial(a) * acc, math.factorial(b) * _ladder.denom * powers.denoms[j])
+    col_a = [row[a] for row in reversed(_ladder.ints[a : n + 1])]  # b_m[a] for m = n down to a
+    acc = sum(map(mul, col_a, _ladder.powers.rows[b - a]))
+    return Fraction(acc, math.factorial(b) * _ladder.denoms[a] * _ladder.powers.denoms[b - a])
 
 
 _METHODS = {

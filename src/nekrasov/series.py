@@ -345,7 +345,7 @@ class _PowerRow:
     has 1964 bits where denom^8 has 5942.  Applying q d/dq to f^j gives
     q (f^j)' = j f^(j-1) q f', that is n c_{n,j} = j sum_{i=1..n} i f_i
     c_{n-i,j-1}, the same step that yields the Heim-Neuhauser recurrence for
-    Q_n (darcais).  Scaled, with g = gcd_i(i base_i) and e_i = i base_i / g,
+    Q_n (darcais' test oracle).  Scaled, with g = gcd_i(i base_i) and e_i = i base_i / g,
         rows[j][n] = j g D_j sum_{i=1..n} e_i rows[j-1][n-i] / (denom D_{j-1} n),
     rows[j][0] = f_0^j D_j, a division that is exact because the left side
     is an integer; a remainder raises ArithmeticError.  For sigma_{-1},
@@ -358,9 +358,10 @@ class _PowerRow:
     orders from 2^21 - 1 up are refused.
 
     f^j is 0 below j lead, where lead is the index of f's first nonzero
-    coefficient: those zeros are appended, not computed, and row j reads
-    row j - 1 only from (j - 1) lead.  `extend` moves each stored row j to
-    the D_j of the new order (D_j grows with N), then only appends.  A build
+    coefficient: those zeros are appended, not computed (a row with j lead
+    > N runs no kernel), and row j reads row j - 1 only from (j - 1) lead.
+    `extend` moves each stored row j that is not all zero to the D_j of the
+    new order (D_j grows with N), then only appends.  A build
     that is never extended again passes `free=True`: row j - 1 is dropped
     once row j is complete (base stays), and a later `extend` raises
     ValueError.  Such a build reads only row k, and row j at n reads row
@@ -491,7 +492,7 @@ class _PowerRow:
                 raise ValueError(f"series rule {self.rule!r} changed its coefficients below q^{old}")
             denoms = self._denominators(denom, base, dens)
             for j, row in enumerate(rows[2:], 2):  # every stored row moves to its new D_j
-                if not row:  # so are the rows above it: a fresh ladder rescales nothing
+                if not any(row):  # empty or 0 to the old order, and so are the rows above it
                     break
                 r = math.gcd(denoms[j], self.denoms[j])
                 up, down = denoms[j] // r, self.denoms[j] // r
@@ -511,6 +512,11 @@ class _PowerRow:
         s = next((i for i, w in enumerate(weights) if w), 1)  # e_i = 0 for i < s
         for j in range(2, self.k + 1):
             row = rows[j]
+            if j * lead > order:  # f^j = 0 to q^order: zeros, with no sums and no multiplier
+                row += [0] * (order + 1 - len(row))
+                if free and j > 2:
+                    rows[j - 1] = None
+                continue
             if not row:  # f_0^j D_j = f_0^(j-1) D_(j-1) f_0 denom D_j / (denom D_(j-1))
                 row.append(_divide_exactly(rows[j - 1][0] * base[0] * denoms[j], denom * denoms[j - 1], j, 0)
                            if base[0] else 0)

@@ -475,15 +475,16 @@ def test_ladder_grown_equals_millers_row(rule):
 @pytest.mark.parametrize("rule", KERNEL_RULES)
 def test_ladder_freeing_build_equals_millers_row_and_refuses_to_grow(rule):
     for k in range(10):
-        row = _PowerRow(k, rule)
-        row.extend(64)
-        row.extend(130, free=True)
-        assert _same_row(row, _oracle(k, rule, [64, 130])), k
-        assert all(r is None for r in row.rows[2:k])  # only base and f^k are kept
-        with pytest.raises(ValueError, match="freed"):
-            row.extend(200)
-        with pytest.raises(ValueError, match="freed"):
-            row.extend(10)
+        for orders in ([64, 130], [3, 5]):  # at order 5, f^6..f^9 of a rule with lead >= 1 are 0
+            row = _PowerRow(k, rule)
+            row.extend(orders[0])
+            row.extend(orders[1], free=True)
+            assert _same_row(row, _oracle(k, rule, orders)), (k, orders)
+            assert all(r is None for r in row.rows[2:k])  # only base and f^k are kept
+            with pytest.raises(ValueError, match="freed"):
+                row.extend(200)
+            with pytest.raises(ValueError, match="freed"):
+                row.extend(10)
 
 
 @pytest.mark.parametrize("rule", KERNEL_RULES)
@@ -573,7 +574,7 @@ def _same_ladder(row: _PowerRow, oracle: _LoopRow) -> bool:
 def test_ladder_matches_the_loop(rule):
     for k in (0, 1, 2, 3, 7):
         for orders, free in (([100], False), ([1, 2, 40, 41, 100], False),
-                             ([100], True), ([30, 75, 100], True)):
+                             ([100], True), ([30, 75, 100], True), ([5], True)):
             row, oracle = _PowerRow(k, rule), _LoopRow(k, rule)
             for order in orders:
                 row.extend(order, free and order == orders[-1])

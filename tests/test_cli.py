@@ -239,6 +239,20 @@ def test_verify_identities_catches_a_wrong_ladder_coefficient(capsys, monkeypatc
     ]
 
 
+def test_verify_identities_catches_a_wrong_table_ladder(capsys, monkeypatch):
+    # the generating identity builds its own ladder, so a wrong entry in the Q table's
+    # ladder shows: column 3 of the table is wrong from n = 10 on
+    table = darcais._QTable()
+    table.powers.extend(20)
+    table.powers.rows[3][10] += 1
+    monkeypatch.setattr(darcais, "_ladder", table)
+    code, out, _ = run(capsys, "verify", "--suite", "identities", "--n-max", "20")
+    assert code == EXIT_VIOLATION
+    assert [line for line in out.strip().splitlines() if line.endswith(",fail")] == [
+        f"identities,{check},fail" for check in ("generating-identity-per-k", "four-way-agreement")
+    ]
+
+
 def test_verify_stirling(capsys):
     code, out, _ = run(capsys, "verify", "--suite", "stirling", "--n-max", "15")
     assert code == EXIT_OK
@@ -412,7 +426,7 @@ def test_q_table_size_above_limit_exits_2(capsys, monkeypatch, argv):
     assert code == EXIT_ABORTED
     assert out == ""
     assert f"above the Q table limit {darcais.TABLE_LIMIT}" in err
-    assert table.rows == [] and table.int_cols == []
+    assert table.rows == [] and table.ints == [] and table.powers.nums == []
 
 
 @pytest.mark.parametrize("argv, top", [

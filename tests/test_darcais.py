@@ -10,7 +10,6 @@ import pytest
 
 from nekrasov import darcais
 from nekrasov.darcais import (
-    SHARED_POWERS,
     TABLE_LIMIT,
     EnumerationLimitError,
     QPolynomial,
@@ -109,6 +108,12 @@ def test_enumeration_limit_env(monkeypatch):
     with pytest.raises(EnumerationLimitError) as info:
         q_via_hooks(11)
     assert "10" in str(info.value)
+    for bad in ("abc", "-1"):
+        monkeypatch.setenv("NEKRASOV_ENUM_LIMIT", bad)
+        with pytest.raises(ValueError, match="NEKRASOV_ENUM_LIMIT must be a non-negative integer"):
+            enumeration_limit()
+        with pytest.raises(ValueError, match="NEKRASOV_ENUM_LIMIT must be a non-negative integer"):
+            q_via_hooks(0)
     monkeypatch.delenv("NEKRASOV_ENUM_LIMIT")
     assert enumeration_limit() == 32
     assert enumeration_limit(5) == 5
@@ -282,50 +287,42 @@ def test_table_growth_order_does_not_matter(monkeypatch):
     built.ensure(90)
     assert grown.n_max == built.n_max == 90
     assert grown.rows == built.rows
-    assert grown.int_cols == built.int_cols
-    # the shared power ladder grows longer in any order; taller powers are built per call
+    assert (grown.ints, grown.denoms) == (built.ints, built.denoms)
+    # the cross requests read the table's ladder in any order, as a fresh table does
     requests = [(0, 2, 12), (3, 7, 40), (1, 2, 25), (10, 11, 90), (0, 6, 60),
                 (5, 9, 30), (2, 3, 90), (20, 21, 45), (0, 1, 1), (30, 34, 80)]
     random.Random(5).shuffle(requests)
     monkeypatch.setattr(darcais, "_ladder", grown)
     answers = [a_cross_recursion(a, b, n) for a, b, n in requests]
-    assert grown.powers.k == SHARED_POWERS
+    assert grown.n_max == 90
     for (a, b, n), value in zip(requests, answers):
         monkeypatch.setattr(darcais, "_ladder", _QTable())
         assert a_cross_recursion(a, b, n) == value == q_via_recursion(n).coeffs[b]
 
 
-def test_tall_request_leaves_the_shared_ladder_alone(monkeypatch):
+def test_tall_cross_request_builds_no_power_row(monkeypatch):
+    # every power up to TABLE_LIMIT is a row of the table's one ladder
     table = _QTable()
     monkeypatch.setattr(darcais, "_ladder", table)
-    assert a_cross_recursion(0, 40, 40) == q_via_recursion(40).coeffs[40]
-    assert a_cross_recursion(2, 3 + SHARED_POWERS, 30) == q_via_recursion(30).coeffs[3 + SHARED_POWERS]
-    assert table.powers.k == SHARED_POWERS and table.powers.nums == []
-    # a later long request with a low power extends only the shared rows
-    assert a_cross_recursion(0, 1, 90) == q_via_recursion(90).coeffs[1]
-    assert table.powers.k == SHARED_POWERS and len(table.powers.nums) == 91
-    assert not table.powers.freed
+    q_table_via_recursion(40)
+    built = []
 
+    class Counting(_PowerRow):
+        def __init__(self, *args):
+            built.append(args)
+            super().__init__(*args)
 
-def test_shared_rows_grow_with_the_table(monkeypatch):
-    # the first low-power request extends the shared rows to the table's n_max,
-    # so later requests up to it extend nothing
-    table = _QTable()
-    monkeypatch.setattr(darcais, "_ladder", table)
-    q_table_via_recursion(60)
-    assert a_cross_recursion(2, 3, 10) == q_via_recursion(10).coeffs[3]
-    lengths = [len(row) for row in table.powers.rows]
-    assert lengths == [61] * (SHARED_POWERS + 1)
-    for a, b, n in ((0, 1, 60), (5, 8, 33), (0, 3, 3), (40, 41, 59)):
-        assert a_cross_recursion(a, b, n) == q_via_recursion(n).coeffs[b]
-    assert [len(row) for row in table.powers.rows] == lengths
+    monkeypatch.setattr(darcais, "_PowerRow", Counting)
+    assert a_cross_recursion(0, 40, 40) == Fraction(1, math.factorial(40))
+    assert a_cross_recursion(2, 30, 40) == q_via_recursion(40).coeffs[30]
+    assert built == [] and table.n_max == 40
 
 
 def test_table_limit_refused_before_allocating():
     table = _QTable()
     with pytest.raises(ValueError, match=f"n={TABLE_LIMIT + 1} is above the Q table limit {TABLE_LIMIT}"):
         table.ensure(TABLE_LIMIT + 1)
-    assert table.n_max == -1 and table.int_cols == []
+    assert table.n_max == -1 and table.ints == [] and table.powers.nums == []
     for call in (
         lambda: q_via_recursion(5000),
         lambda: q_table_via_recursion(TABLE_LIMIT + 1),
@@ -337,23 +334,24 @@ def test_table_limit_refused_before_allocating():
 
 
 def test_refusal_leaves_a_grown_table_alone():
-    # the refusal comes before the rescale: neither D nor a stored entry moves
+    # the refusal comes before the ladder grows: neither a D_k nor a stored entry moves
     table = _QTable()
     table.ensure(40)
-    denom, cols = table.denom, [list(col) for col in table.int_cols]
+    denoms, ints = list(table.denoms), [list(b) for b in table.ints]
+    ladder = [list(row) for row in table.powers.rows]
     with pytest.raises(ValueError, match=f"Q table limit {TABLE_LIMIT}"):
         table.ensure(TABLE_LIMIT + 1)
-    assert table.n_max == 40 and table.denom == denom == math.factorial(40)
-    assert table.int_cols == cols
+    assert table.n_max == 40 and table.denoms == denoms == table.powers.denoms
+    assert table.ints == ints and table.powers.rows == ladder
 
 
-def test_table_refuses_a_row_that_does_not_divide():
-    # a stored D seven times too large rescales the table by 11! // (7 10!) = 1, not 11,
-    # on the way to n = 11, and 10! Q_11 is no integer (its top coefficient is 1/11!)
+def test_table_refuses_a_column_rescale_that_does_not_divide():
+    # a stored D_3 with the prime 10007, which no D_3 holds, must be divided out of
+    # column 3 on the way to n = 11, and b_3[3] = D_3 is no multiple of it
     table = _QTable()
     table.ensure(10)
-    table.denom *= 7
-    with pytest.raises(ArithmeticError, match=r"row 11 of the Q table is not an integer at z\^\d+"):
+    table.denoms[3] *= 10007
+    with pytest.raises(ArithmeticError, match=r"column 3 of the Q table is not an integer at q\^3"):
         table.ensure(11)
 
 
@@ -405,13 +403,14 @@ def falling_120():
 
 
 def assert_matches_falling(table: _QTable, oracle: FallingFactorialTable) -> None:
-    """a_m[k] m! == R_m[k] D for every stored entry, with D = n_max!."""
-    assert table.denom == math.factorial(table.n_max)
-    assert len(table.int_cols) == table.n_max + 1
-    for k, col in enumerate(table.int_cols):
-        assert len(col) == table.n_max + 1 - k
-        for m, c in enumerate(col, k):
-            assert c * math.factorial(m) == oracle.cols[k][m - k] * table.denom
+    """b_m[k] m! == R_m[k] k! D_k for every stored entry, over the ladder's D_k at n_max."""
+    assert all(len(row) == table.n_max + 1 for row in table.powers.rows)
+    assert table.denoms == table.powers.denoms
+    assert len(table.ints) == table.n_max + 1
+    for m, b in enumerate(table.ints):
+        assert len(b) == m + 1
+        for k, c in enumerate(b):
+            assert c * math.factorial(m) == oracle.cols[k][m - k] * math.factorial(k) * table.denoms[k]
 
 
 def test_table_matches_falling_factorial_oracle(monkeypatch, falling_120):
@@ -433,7 +432,7 @@ def test_table_matches_falling_factorial_oracle(monkeypatch, falling_120):
         for a, b, n in requests:
             assert a_cross_recursion(a, b, n) == falling_120.a_cross(a, b, n)
     assert_matches_falling(grown, falling_120)
-    assert grown.int_cols == built.int_cols
+    assert grown.ints == built.ints
 
 
 # ---------------------------------------------------------------------------
