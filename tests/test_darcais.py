@@ -300,11 +300,28 @@ def test_table_growth_order_does_not_matter(monkeypatch):
         assert a_cross_recursion(a, b, n) == value == q_via_recursion(n).coeffs[b]
 
 
-def test_tall_cross_request_builds_no_power_row(monkeypatch):
-    # every power up to TABLE_LIMIT is a row of the table's one ladder
+def test_shared_rows_grow_with_the_table(monkeypatch):
+    # every row of the table's one ladder reaches exactly the table's n_max,
+    # so cross requests up to it extend nothing
+    table = _QTable()
+    monkeypatch.setattr(darcais, "_ladder", table)
+    q_table_via_recursion(60)
+    assert [len(row) for row in table.powers.rows] == [61] * (TABLE_LIMIT + 1)
+    ladder = [list(row) for row in table.powers.rows]
+    for a, b, n in ((2, 3, 10), (0, 1, 60), (5, 8, 33), (0, 3, 3), (40, 41, 59)):
+        assert a_cross_recursion(a, b, n) == q_via_recursion(n).coeffs[b]
+    assert table.n_max == 60 and table.powers.rows == ladder
+    q_table_via_recursion(90)
+    assert [len(row) for row in table.powers.rows] == [91] * (TABLE_LIMIT + 1)
+
+
+def test_tall_request_leaves_the_shared_ladder_alone(monkeypatch):
+    # every power up to TABLE_LIMIT is a row of the table's one ladder: a tall
+    # request reads it, and neither builds a ladder of its own nor moves a row
     table = _QTable()
     monkeypatch.setattr(darcais, "_ladder", table)
     q_table_via_recursion(40)
+    ladder, denoms = [list(row) for row in table.powers.rows], list(table.powers.denoms)
     built = []
 
     class Counting(_PowerRow):
@@ -316,6 +333,8 @@ def test_tall_cross_request_builds_no_power_row(monkeypatch):
     assert a_cross_recursion(0, 40, 40) == Fraction(1, math.factorial(40))
     assert a_cross_recursion(2, 30, 40) == q_via_recursion(40).coeffs[30]
     assert built == [] and table.n_max == 40
+    assert table.powers.rows == ladder and table.powers.denoms == denoms
+    assert not table.powers.freed
 
 
 def test_table_limit_refused_before_allocating():
