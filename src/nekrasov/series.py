@@ -512,11 +512,6 @@ class _PowerRow:
         s = next((i for i, w in enumerate(weights) if w), 1)  # e_i = 0 for i < s
         for j in range(2, self.k + 1):
             row = rows[j]
-            if j * lead > order:  # f^j = 0 to q^order: zeros, with no sums and no multiplier
-                row += [0] * (order + 1 - len(row))
-                if free and j > 2:
-                    rows[j - 1] = None
-                continue
             if not row:  # f_0^j D_j = f_0^(j-1) D_(j-1) f_0 denom D_j / (denom D_(j-1))
                 row.append(_divide_exactly(rows[j - 1][0] * base[0] * denoms[j], denom * denoms[j - 1], j, 0)
                            if base[0] else 0)
