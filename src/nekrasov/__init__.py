@@ -4,12 +4,12 @@ The package computes the polynomials Q_n(z) defined by
 
     sum_n Q_n(z) q^n  =  prod_m (1 - q^m)^(-z-1)
 
-by four independent routes (hook products, trivial-leg hook products,
-part-multiplicity binomials, and a power-series recursion), and provides
-verification tooling: log-concavity / unimodality scanners over the
-coefficients of powers of the divisor-sum series f(q) = sum sigma_{-1}(n) q^n,
-unsigned Stirling number inequalities, and certified floating-point scans
-for ranges where exact rationals are infeasible.
+by four routes (hook products, part-multiplicity binomials, a power-series
+recursion, and trivial-leg hook products, which relabel the multiplicities of
+the conjugate partition) and provides verification tooling: log-concavity and
+unimodality scans of the powers of f(q) = sum sigma_{-1}(n) q^n, unsigned
+Stirling number inequalities, and certified floating-point scans where exact
+rationals are infeasible.
 """
 
 __version__ = "0.1.0"

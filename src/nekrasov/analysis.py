@@ -47,9 +47,9 @@ import numpy as np
 from .partitions import partition_count
 from .series import (
     BallSeries,
+    _float_base,
     _ld_available,
     _PowerRow,
-    custom_series,
     pi2_over_6_bounds,
 )
 
@@ -210,13 +210,6 @@ def _ball_scan(ball: BallSeries, k: int, n_stop: int) -> _BallScanOutcome:
     return _BallScanOutcome(first, [int(u) for u in und_idx])
 
 
-def _float_base(rule: str, order: int, dtype) -> BallSeries:
-    """The enclosure of f that the float passes raise to the k-th power."""
-    if rule == "sigma-minus-one":
-        return BallSeries.divisor_sum_series(order, dtype)
-    return BallSeries.from_fractions(custom_series(rule, order).coeffs, dtype)
-
-
 def default_scan_bound(k: int) -> int:
     """Default n_max: the conjectured window 2^k with doubling headroom,
     floored so that small k still reach their first violation.  A k whose
@@ -236,8 +229,8 @@ def scan_conjecture(
 ) -> ScanReport:
     """First log-concavity violation n0(k) of the coefficients of f(q)^k.
 
-    f is any registered series rule; sigma_{-1} needs k >= 2, since f itself
-    is log-concave, and the other rules take k >= 1.
+    f is any registered series rule; sigma_{-1} takes k >= 2, as the paper's
+    table does (f itself fails at n = 3: 16/9 < 21/8), the others k >= 1.
     """
     k_min = 2 if rule == "sigma-minus-one" else 1
     if k < k_min:

@@ -1,13 +1,13 @@
-"""The polynomials Q_n(z) by four independent methods.
+"""The polynomials Q_n(z) by four methods, three of them independent.
 
 Q_n(z) = sum over partitions of n of prod_{cells} (1 + z/hook^2), and
 sum_n Q_n(z) q^n = prod_{m>=1} (1 - q^m)^(-z-1) = P(q) exp(z f), with P the
-partition series and f = sum_n sigma_{-1}(n) q^n.  The coefficient table
-A[n][k] can equally be computed from trivial-leg hooks, from part-multiplicity
-binomials, or as the paper's column P f^k / k!, with f^k read off the exact
-power ladder and P divided out by Euler's pentagonal recurrence: the route for
-large n, up to TABLE_LIMIT.  The enumeration methods are capped by a
-configurable partition budget.
+partition series and f = sum_n sigma_{-1}(n) q^n.  The table A[n][k] also
+comes from part-multiplicity binomials, from trivial-leg hooks (row i's are
+1..lambda_i - lambda_{i+1}, the multiplicity roots 1..k_i of the conjugate: a
+relabelling, term by term), or as the paper's column P f^k / k!, f^k read off
+the exact power ladder and P divided out by Euler's pentagonal recurrence, up
+to TABLE_LIMIT.  The enumeration methods have a configurable partition budget.
 
 Every route runs in integers over known denominators (k! D_k for column k of
 the table, n! for the trivial-leg hooks and the multiplicities, (n!)^2 for
@@ -208,14 +208,14 @@ class _QTable:
     (one pass over all columns per pentagonal number) and A[n][k] = b_n[k] / (k! D_k).
     Growing to N' extends the ladder to N' and moves each stored column k to
     D_k(N') as the ladder moves its rows, exactly.  Row n also stores its
-    Fraction row A[n][.], which warm reads return.  The Heim-Neuhauser
+    QPolynomial Q_n, the object warm reads return.  The Heim-Neuhauser
     recurrence is the tests' oracle.  Unlocked: the package runs single-threaded.
     """
 
     def __init__(self):
         self.ints: list[list[int]] = []  # ints[n][k] = b_n[k], over denoms[k]
         self.denoms: list[int] = []  # the D_k of the stored columns
-        self.rows: list[tuple[Fraction, ...]] = []  # rows[n][k] = A[n][k]
+        self.rows: list[QPolynomial] = []  # rows[n].coeffs[k] = A[n][k]
         self.powers = _PowerRow(TABLE_LIMIT, "sigma-minus-one")  # never freed
 
     @property
@@ -251,7 +251,7 @@ class _QTable:
                 prev = ints[n - m]
                 b[: len(prev)] = map(sign, b, prev)
             ints.append(b)
-            self.rows.append(tuple(map(Fraction, b, scales)))
+            self.rows.append(QPolynomial(n, tuple(map(Fraction, b, scales))))
 
 
 _ladder = _QTable()
@@ -262,13 +262,13 @@ def q_via_recursion(n: int) -> QPolynomial:
     if n < 0:
         raise ValueError("n must be non-negative")
     _ladder.ensure(n)
-    return QPolynomial(n, _ladder.rows[n])
+    return _ladder.rows[n]
 
 
 def q_table_via_recursion(n_max: int) -> list[QPolynomial]:
     """All of Q_0..Q_{n_max} from the cached table."""
     _ladder.ensure(n_max)
-    return [QPolynomial(n, _ladder.rows[n]) for n in range(n_max + 1)]
+    return _ladder.rows[: max(n_max + 1, 0)]  # a fresh list; rows[:0] for a negative n_max
 
 
 def coefficient_series(k: int, n_max: int) -> RationalSeries:
@@ -277,7 +277,7 @@ def coefficient_series(k: int, n_max: int) -> RationalSeries:
         raise ValueError("k must be non-negative")
     _ladder.ensure(n_max)  # A_{m,k} = 0 for k > m: no row past n_max is read
     rows, zero = _ladder.rows, Fraction(0)
-    return RationalSeries([rows[m][k] if m >= k else zero for m in range(n_max + 1)])
+    return RationalSeries([rows[m].coeffs[k] if m >= k else zero for m in range(n_max + 1)])
 
 
 def a_cross_recursion(a: int, b: int, n: int) -> Fraction:

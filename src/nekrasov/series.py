@@ -175,7 +175,9 @@ _SERIES_RULES: dict[str, Callable[[int], RationalSeries]] = {
 
 
 def register_series_rule(name: str, builder: Callable[[int], RationalSeries]) -> None:
-    """Add a named generating rule usable with custom_series."""
+    """Add or replace a named generating rule usable with custom_series; the built-ins are fixed."""
+    if name in ("sigma-minus-one", "remark-series"):  # the sigma_{-1} fast paths key on the name
+        raise ValueError(f"series rule {name!r} is built in and cannot be replaced")
     _SERIES_RULES[name] = builder
 
 
@@ -202,19 +204,25 @@ def custom_series(rule: str, n_max: int) -> RationalSeries:
 def _scaled_rule_base(rule: str, n_max: int) -> tuple[list[int], int, list[int]]:
     """A registered series as (numerators, denominator, reduced denominators d_m).
 
-    The denominator is the lcm of the d_m, and numerator m is f_m times it.
-    The built-in sigma_{-1} rule reads f_m = sigma(m) / m off one sieve, with
-    no Fraction: d_m = m / gcd(sigma(m), m).
+    f_m = a / b has d_m = b / gcd(a, b); the denominator is the lcm of the d_m
+    and numerator m is f_m times it.  sigma_{-1} reads (a, b) = (sigma(m), m)
+    off one sieve, with no Fraction; the other rules read their Fractions.
     """
-    if _SERIES_RULES.get(rule) is f_series:
+    if rule == "sigma-minus-one":
         sig = sigma_sieve(n_max)  # refuses a negative order
-        dens = [1] + [m // math.gcd(s, m) for m, s in enumerate(sig[1:], 1)]
-        denom = math.lcm(*dens)
-        return [0] + [s * denom // m for m, s in enumerate(sig[1:], 1)], denom, dens
-    coeffs = custom_series(rule, n_max).coeffs
-    dens = [c.denominator for c in coeffs]
+        pairs = [(0, 1), *zip(sig[1:], range(1, n_max + 1))]
+    else:
+        pairs = [(c.numerator, c.denominator) for c in custom_series(rule, n_max).coeffs]
+    dens = [b // math.gcd(a, b) for a, b in pairs]
     denom = math.lcm(*dens)
-    return [c.numerator * (denom // d) for c, d in zip(coeffs, dens)], denom, dens
+    return [a * denom // b for a, b in pairs], denom, dens
+
+
+def _float_base(rule: str, order: int, dtype) -> BallSeries:
+    """The enclosure of f that the float scans raise to the k-th power."""
+    if rule == "sigma-minus-one":
+        return BallSeries.divisor_sum_series(order, dtype)
+    return BallSeries.from_fractions(custom_series(rule, order).coeffs, dtype)
 
 
 # Every integer of magnitude up to 2^53 is a float64, so a dot product of

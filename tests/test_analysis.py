@@ -137,6 +137,19 @@ def test_scan_custom_sigma_rule_matches():
         a = scan_conjecture(2, 64, mode)
         b = scan_conjecture(2, 64, mode, rule="sigma-minus-one")
         assert (a.n0, a.violations_checked, a.rule) == (b.n0, b.violations_checked, b.rule)
+    # a copy of f under another name takes the Fraction paths, not the sieve's, to the same table
+    register_series_rule("sigma-copy-test", f_series)
+    for mode, ks in (("exact", range(2, 10)), ("adaptive-float", range(2, 13))):
+        for k in ks:
+            a = scan_conjecture(k, mode=mode)
+            b = scan_conjecture(k, mode=mode, rule="sigma-copy-test")
+            assert (a.n0, a.certified, a.mode_of_certification, a.violations_checked) == (
+                b.n0, b.certified, b.mode_of_certification, b.violations_checked), (mode, k)
+    # the paper's table starts at k = 2, though f itself first violates log-concavity at
+    # n = 3: f_3^2 = 16/9 < f_2 f_4 = 21/8
+    assert scan_conjecture(1, 64, rule="sigma-copy-test").n0 == 3
+    with pytest.raises(ValueError, match="k must be >= 2"):
+        scan_conjecture(1, 64)
 
 
 def test_scan_custom_remark_k1():

@@ -267,6 +267,16 @@ def test_columns_share_the_row_values():
     column = coefficient_series(3, 12)
     assert all(column[m] is q_via_recursion(m).coeffs[3] for m in range(3, 13))
     assert coefficient_series(5, 2).coeffs == (0, 0, 0)
+    # warm reads return the stored rows, in a list of their own
+    assert all(q_via_recursion(m) is q_via_recursion(m) for m in range(13))
+    rows = q_table_via_recursion(12)
+    stored = list(rows)
+    assert [row.n for row in rows] == list(range(13))
+    assert all(row is q_via_recursion(m) for m, row in enumerate(rows))
+    rows[5] = rows.pop()
+    fresh = q_table_via_recursion(12)
+    assert len(fresh) == 13 and all(a is b for a, b in zip(fresh, stored))
+    assert q_table_via_recursion(-1) == [] and q_table_via_recursion(-3) == []
 
 
 def test_column_above_the_order_builds_no_row_past_it(monkeypatch):

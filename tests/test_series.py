@@ -10,7 +10,7 @@ import numpy as np
 import pytest
 
 import nekrasov
-from nekrasov import series
+from nekrasov import darcais, series
 from nekrasov.analysis import SCAN_LIMIT, scan_conjecture
 from nekrasov.partitions import partition_count
 from nekrasov.series import (
@@ -211,9 +211,25 @@ def test_custom_series_unknown_rule():
         custom_series("no-such-rule", 5)
 
 
-def test_series_rule_registry_extension():
+def test_series_rule_registry_extension(monkeypatch):
     register_series_rule("ones-test", lambda n: RationalSeries([0] + [1] * n))
     assert custom_series("ones-test", 3).coeffs == (0, 1, 1, 1)
+    register_series_rule("ones-test", lambda n: RationalSeries([0] + [2] * n))  # a user rule may be replaced
+    assert custom_series("ones-test", 3).coeffs == (0, 2, 2, 2)
+    # the built-in rules may not: series keys its sigma_{-1} fast paths on the name, so a
+    # shadowing rule would scan and tabulate under the name in two different ways
+    monkeypatch.setattr(series, "_SERIES_RULES", dict(series._SERIES_RULES))  # undo a shadowing
+    rules = dict(series._SERIES_RULES)
+    for name in ("sigma-minus-one", "remark-series"):
+        with pytest.raises(ValueError, match=f"series rule '{name}' is built in"):
+            register_series_rule(name, lambda n: RationalSeries([0] + [1] * n))
+    assert series._SERIES_RULES == rules and rules["sigma-minus-one"] is f_series
+    assert custom_series("sigma-minus-one", 8) == f_series(8)
+    report = scan_conjecture(6, mode="adaptive-float")
+    assert (report.n0, report.certified, report.violations_checked) == (135, True, 134)
+    monkeypatch.setattr(darcais, "_ladder", darcais._QTable())
+    assert darcais.q_via_recursion(4).coeffs == darcais.q_via_hooks(4).coeffs == (
+        5, Fraction(109, 12), Fraction(119, 24), Fraction(11, 12), Fraction(1, 24))
 
 
 def test_dump_format():
