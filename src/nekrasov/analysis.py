@@ -14,11 +14,14 @@ violate log-concavity (c_n^2 < c_{n-1} c_{n+1}).  Two modes:
   j - 1 cut into 32- or 16-bit limbs).  The ladder is `series._PowerRow`,
   the package's one exact kernel for powers of f; it appends the zeros of
   f^j below j times f's first nonzero index without computing them.  The
-  truncation order doubles until a violation is found or n_max is
-  reached; each doubling only appends and checks the new coefficients, and
-  the last pass drops each row once the next is built.  The same kernel
-  serves the exact fallback below, the coefficients c_{n,k}, the partial
-  sums and the truncated surrogates, each of which builds its own ladder.
+  scans of a rule share one ladder, which `series` keeps and drops when the
+  rule is registered again, so a scan of k reuses the rows f^2..f^(k-1)
+  that earlier scans built and keeps its rows.  The truncation order
+  doubles, from the order the ladder already has, until a violation is
+  found or n_max is reached; each doubling only appends and checks the new
+  coefficients.  The same kernel serves the exact fallback below, the
+  coefficients c_{n,k}, the partial sums and the truncated surrogates, each
+  of which builds its own one-shot ladder and frees it as it goes.
 * adaptive-float: ball-arithmetic enclosures of f^k (binary powering) at 53
   bits over the whole range.  Their radii count the roundings of the blocked
   convolution kernel, not of one long sum, so float64 alone decides the
@@ -50,6 +53,7 @@ from .series import (
     _float_base,
     _ld_available,
     _PowerRow,
+    _shared_power,
     pi2_over_6_bounds,
 )
 
@@ -248,11 +252,10 @@ def scan_conjecture(
     start = time.perf_counter()
 
     if mode == "exact":
-        row = _PowerRow(k, rule)
         lo, order = 2, min(max(64, k + 2), n_max)
         while True:
-            row.extend(order, free=order == n_max)  # the last pass is never extended again
-            c = row.nums
+            c = _shared_power(rule, k, order)  # the orders its ladder already has come free
+            order = min(len(c) - 1, n_max)
             n0 = next((n for n in range(lo, order) if c[n] * c[n] < c[n - 1] * c[n + 1]), None)
             if n0 is not None or order == n_max:
                 checked = (n0 - 1) if n0 is not None else order - 2

@@ -172,6 +172,8 @@ _SERIES_RULES: dict[str, Callable[[int], RationalSeries]] = {
     "sigma-minus-one": f_series,
     "remark-series": _remark_series,
 }
+# the exact scans' power ladder of each rule, grown in order and power and never freed
+_LADDERS: dict[str, _PowerRow] = {}
 
 
 def register_series_rule(name: str, builder: Callable[[int], RationalSeries]) -> None:
@@ -179,6 +181,7 @@ def register_series_rule(name: str, builder: Callable[[int], RationalSeries]) ->
     if name in ("sigma-minus-one", "remark-series"):  # the sigma_{-1} fast paths key on the name
         raise ValueError(f"series rule {name!r} is built in and cannot be replaced")
     _SERIES_RULES[name] = builder
+    _LADDERS.pop(name, None)  # its rows are powers of the rule it replaces
 
 
 def series_rule_names() -> list[str]:
@@ -362,20 +365,24 @@ class _PowerRow:
     small integers, where J.C.P. Miller's power recurrence needs big-by-big
     products.  Row j is built from row j - 1, so the ladder keeps every row
     up to k.  The sums over i are the product of row j - 1 with the Toeplitz
-    matrix of e, computed exactly on BLAS by `_ExactToeplitz`; powers and
-    orders from 2^21 - 1 up are refused.
+    matrix of e, computed exactly on BLAS by `_ExactToeplitz`; powers built
+    and orders from 2^21 - 1 up are refused.
 
     f^j is 0 below j lead, where lead is the index of f's first nonzero
     coefficient: those zeros are appended, not computed (a row with j lead
     > N runs no kernel), and row j reads row j - 1 only from (j - 1) lead.
     `extend` moves each stored row j that is not all zero to the D_j of the
-    new order (D_j grows with N), then only appends.  A build
-    that is never extended again passes `free=True`: row j - 1 is dropped
-    once row j is complete (base stays), and a later `extend` raises
-    ValueError.  Such a build reads only row k, and row j at n reads row
-    j - 1 only up to n - s, where s >= 1 is the first i with e_i != 0 (s = 1
-    when every e_i is 0); so it stops row j at order - (k - j) s, and a high
-    power built to a low order costs little.
+    new order (D_j grows with N), then only appends.  `extend(order,
+    power=p)` extends rows 2..p only, so the rows above p keep a lower order;
+    a p above k raises k to p in place, with D_j from the stored rule base,
+    unless f^p is 0 to the order: then it adds and extends no row.  The
+    exact scans share such a ladder (`_shared_power`); a one-shot build that
+    is never extended again passes `free=True`: row j - 1 is dropped once
+    row j is complete (base stays), and a later `extend` raises ValueError.
+    Such a build reads only row k, and row j at n reads row j - 1 only up to
+    n - s, where s >= 1 is the first i with e_i != 0 (s = 1 when every e_i
+    is 0); so it stops row j at order - (k - j) s, and a high power built to
+    a low order costs little.
     """
 
     def __init__(self, k: int, rule: str):
@@ -385,6 +392,7 @@ class _PowerRow:
         self.rule = rule
         self.base: list[int] = []
         self.denom = 1
+        self.dens: list[int] = []  # the reduced denominators d_m of f, kept for raising k
         self.denoms = [1] * (k + 1)
         self.rows: list[list[int] | None] = [[] for _ in range(k + 1)]
         self.freed = False
@@ -483,24 +491,33 @@ class _PowerRow:
             denoms.append(denoms[-1] * up[j] * tail // down[j])
         return denoms + [denoms[-1]] * (k + 1 - len(denoms))  # rows past top are 0 to q^N
 
-    def extend(self, order: int, free: bool = False) -> None:
-        """Make rows[0..k][0..order] available."""
+    def extend(self, order: int, free: bool = False, power: int | None = None) -> None:
+        """Make rows[0..power][0..order] available; power defaults to k."""
         if order + 1 >= _MAX_WEIGHTS:
             raise ValueError(f"order {order} is above the exact power ladder's limit {_MAX_WEIGHTS - 2}")
         if self.freed:
             raise ValueError("this power row freed its ladder and cannot be extended")
-        rows = self.rows
-        if order < len(rows[self.k]):
+        rows, power = self.rows, self.k if power is None else power
+        if power <= self.k and order < len(rows[power]):
             return
-        old = len(self.base)
-        if order >= old:
+        old, k = len(self.base), self.k
+        grown = order >= old
+        base, denom, dens = self.base, self.denom, self.dens
+        if grown:
             base, denom, dens = _scaled_rule_base(self.rule, order)
             scale, rem = divmod(denom, self.denom)
             if rem or [c * scale for c in self.base] != base[:old]:
                 raise ValueError(f"series rule {self.rule!r} changed its coefficients below q^{old}")
+        lead = next((i for i, c in enumerate(base) if c), len(base))  # f^j = 0 below j lead
+        if power > k and lead and power * lead > order:  # f^power is 0 to the order: build no row above f
+            power = 1
+        elif power > k:
+            self.k = power
+            rows += [[] for _ in range(power - k)]
+        if grown or self.k > k:
             denoms = self._denominators(denom, base, dens)
-            for j, row in enumerate(rows[2:], 2):  # every stored row moves to its new D_j
-                if not any(row):  # empty or 0 to the old order, and so are the rows above it
+            for j, row in enumerate(rows[2 : k + 1], 2):  # a grown order moves every stored row to its new D_j
+                if not grown or not any(row):  # empty or 0 to the old order, and so are the rows above it
                     break
                 r = math.gcd(denoms[j], self.denoms[j])
                 up, down = denoms[j] // r, self.denoms[j] // r
@@ -508,7 +525,7 @@ class _PowerRow:
                     row[:] = [_divide_exactly(c * up, down, j, n) for n, c in enumerate(row)]
                 elif up != 1:
                     row[:] = [c * up for c in row]
-            self.base, self.denom, self.denoms = base, denom, denoms
+            self.base, self.denom, self.dens, self.denoms = base, denom, dens, denoms
         base, denom, denoms = self.base, self.denom, self.denoms
         rows[0] += [int(n == 0) for n in range(len(rows[0]), order + 1)]
         if self.k >= 1:
@@ -516,9 +533,8 @@ class _PowerRow:
         weights = [i * c for i, c in enumerate(base[: order + 1])]
         g = math.gcd(*weights) or 1
         toeplitz = _ExactToeplitz([w // g for w in weights])
-        lead = next((i for i, c in enumerate(base) if c), len(base))  # f^j = 0 below j lead
         s = next((i for i, w in enumerate(weights) if w), 1)  # e_i = 0 for i < s
-        for j in range(2, self.k + 1):
+        for j in range(2, min(power, self.k) + 1):
             row = rows[j]
             if not row:  # f_0^j D_j = f_0^(j-1) D_(j-1) f_0 denom D_j / (denom D_(j-1))
                 row.append(_divide_exactly(rows[j - 1][0] * base[0] * denoms[j], denom * denoms[j - 1], j, 0)
@@ -547,6 +563,26 @@ def _divide_exactly(num: int, den: int, j: int, n: int) -> int:
     if rem:
         raise ArithmeticError(f"row {j} of the power ladder is not an integer at q^{n}")
     return c
+
+
+def _shared_power(rule: str, k: int, order: int) -> list[int]:
+    """Row k of the rule's shared ladder, f^k D_k, to q^order or to the higher order it has.
+
+    The exact scans read f^k here, so a scan of k reuses the rows f^2..f^(k-1)
+    that earlier scans built; a raised power is built to the order of the
+    rows below it, and a row that is 0 to the order is returned as zeros.  A
+    ladder whose `extend` raises is dropped: a rescale stopped halfway
+    leaves rows over two denominators.
+    """
+    ladder = _LADDERS.setdefault(rule, _PowerRow(1, rule))
+    order = max(order, len(ladder.rows[min(k, ladder.k)]) - 1)
+    if k > ladder.k or order >= len(ladder.rows[k]):
+        try:
+            ladder.extend(order, power=k)
+        except BaseException:
+            del _LADDERS[rule]
+            raise
+    return ladder.rows[k] if k <= ladder.k else [0] * (order + 1)
 
 
 # ---------------------------------------------------------------------------

@@ -929,20 +929,88 @@ def test_freeing_build_computes_only_the_band(monkeypatch):
     assert calls == [(0, 1, j + 1) for j in range(2, k + 1)]
 
 
-def test_exact_scan_frees_only_its_last_pass(monkeypatch):
-    frees = []
-    extend = _PowerRow.extend
+def test_exact_scans_extend_one_shared_ladder(monkeypatch):
+    # the scans of a rule read f^k off one ladder that grows in order and power
+    # and is never freed: a scan extends it only to the orders and powers it lacks
+    monkeypatch.setattr(series, "_LADDERS", {})
+    calls, sieves = [], []
+    extend, sieve = _PowerRow.extend, series.sigma_sieve
 
-    def recorded(self, order, free=False):
-        frees.append((order, free))
-        extend(self, order, free)
+    def recorded(self, order, free=False, power=None):
+        calls.append((order, free, power))
+        extend(self, order, free, power)
 
     monkeypatch.setattr(_PowerRow, "extend", recorded)
+    monkeypatch.setattr(series, "sigma_sieve", lambda n: sieves.append(n) or sieve(n))
     assert scan_conjecture(7, mode="exact").n0 == 251
-    assert frees == [(64, False), (128, False), (256, True)]
-    frees.clear()
-    assert scan_conjecture(6, 1000, mode="exact").n0 == 135  # found before n_max
-    assert frees == [(64, False), (128, False), (256, False)]
+    assert calls == [(64, False, 7), (128, False, 7), (256, False, 7)]
+    ladder = series._LADDERS["sigma-minus-one"]
+    calls.clear()
+    assert scan_conjecture(6, mode="exact").n0 == 135  # row 6 is there to 256: no extend
+    assert calls == []
+    # k = 8 raises the power at the order the ladder has, then extends to 512
+    assert scan_conjecture(8, mode="exact").n0 == 475
+    assert calls == [(256, False, 8), (512, False, 8)]
+    assert series._LADDERS["sigma-minus-one"] is ladder and ladder.k == 8 and not ladder.freed
+    assert [len(row) for row in ladder.rows] == [513] * 9
+    assert sieves == [64, 128, 256, 512]  # the raised power read the stored rule base
+
+
+def test_exact_scans_in_any_order_give_the_readme_table(monkeypatch):
+    # each (n0, certified, mode, violations_checked, n_max) equals the README
+    # table and a lone scan on a fresh ladder, whatever the scans before it built
+    readme = {2: 6, 3: 21, 4: 39, 5: 73, 6: 135, 7: 251, 8: 475, 9: 917}
+
+    def fields(report):
+        return (report.n0, report.certified, report.mode_of_certification,
+                report.violations_checked, report.n_max)
+
+    lone = {}
+    for k, n0 in readme.items():
+        monkeypatch.setattr(series, "_LADDERS", {})
+        lone[k] = fields(scan_conjecture(k, mode="exact"))
+        assert lone[k] == (n0, True, "exact", n0 - 1, max(2 * 2**k, 256))
+    for order in (range(2, 10), range(9, 1, -1), [5, 8, 7, 4, 2, 6, 3]):
+        monkeypatch.setattr(series, "_LADDERS", {})
+        for k in order:
+            assert fields(scan_conjecture(k, mode="exact")) == lone[k], (list(order), k)
+
+
+@pytest.mark.parametrize("rule", ["sigma-minus-one", "remark-series", "mixed-signs-test"])
+def test_raised_power_equals_a_fresh_ladder(monkeypatch, rule):
+    fresh = _PowerRow(8, rule)
+    fresh.extend(512)
+    ladder = _PowerRow(2, rule)
+    ladder.extend(512)
+    bases, scaled = [], series._scaled_rule_base
+    monkeypatch.setattr(series, "_scaled_rule_base", lambda *args: bases.append(args) or scaled(*args))
+    ladder.extend(512, power=8)  # the D_j of the new rows come from the stored rule base
+    assert bases == []
+    assert (ladder.k, ladder.denoms, ladder.rows) == (8, fresh.denoms, fresh.rows)
+    # a lower power grows alone; the rows above it keep their order and move to the new D_j
+    ladder.extend(1024, power=3)
+    assert [len(row) for row in ladder.rows] == [1025] * 4 + [513] * 5
+    ladder.extend(1024, power=8)
+    fresh.extend(1024)
+    assert (ladder.denoms, ladder.rows) == (fresh.denoms, fresh.rows)
+
+
+def test_shared_ladder_dropped_when_an_extend_fails(monkeypatch):
+    # D_8 one prime 2 short at order 512: the rescale of the rows built to 256
+    # stops halfway, so the ladder must not be read again
+    monkeypatch.setattr(series, "_LADDERS", {})
+    denominators = _PowerRow._denominators
+
+    def short(self, denom, nums, dens):
+        denoms = denominators(self, denom, nums, dens)
+        return denoms[:-1] + [denoms[-1] // 2] if len(dens) == 513 else denoms
+
+    with monkeypatch.context() as patch:
+        patch.setattr(_PowerRow, "_denominators", short)
+        with pytest.raises(ArithmeticError, match="row 8 of the power ladder is not an integer"):
+            scan_conjecture(8, mode="exact")
+        assert "sigma-minus-one" not in series._LADDERS
+    assert scan_conjecture(8, mode="exact").n0 == 475
 
 
 def test_exact_scan_checks_the_order_it_doubled_from():
@@ -971,6 +1039,7 @@ def test_exact_scan_checks_up_to_n0():
 
 def test_scan_bound_limit(monkeypatch):
     monkeypatch.setattr(analysis, "_PowerRow", lambda *args: pytest.fail("built a ladder"))
+    monkeypatch.setattr(analysis, "_shared_power", lambda *args: pytest.fail("grew the shared ladder"))
     monkeypatch.setattr(analysis, "_float_base", lambda *args: pytest.fail("built a ball"))
     for mode in ("exact", "adaptive-float"):
         # the default bound 2^(k+1) is refused by the size of k, never formatted
@@ -987,11 +1056,16 @@ def test_scan_bound_limit(monkeypatch):
     assert analysis.default_scan_bound(17) == SCAN_LIMIT
 
 
-def test_power_far_above_its_order_costs_little():
-    # f^k starts at q^k: a fresh ladder rescales none of its empty rows
+def test_power_far_above_its_order_costs_little(monkeypatch):
+    # f^k starts at q^k: a fresh ladder rescales none of its empty rows, and
+    # the shared ladder stores no row that is 0 to its order
     assert coefficient_c(300, 2000) == 0
-    report = scan_conjecture(20000, 300, "exact")
-    assert report.certified and report.n0 is None and report.violations_checked == 298
+    monkeypatch.setattr(series, "_LADDERS", {})
+    for k in (20000, 100000):
+        report = scan_conjecture(k, 300, "exact")
+        assert report.certified and report.n0 is None and report.violations_checked == 298
+    ladder = series._LADDERS["sigma-minus-one"]
+    assert sum(1 for row in ladder.rows if row) <= 301 and len(ladder.denoms) <= 301
 
 
 def test_coefficient_below_its_power_builds_no_ladder(monkeypatch):

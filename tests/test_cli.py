@@ -547,6 +547,7 @@ def test_scan_huge_k_exits_2_before_building(capsys, monkeypatch, mode, argv):
         raise AssertionError("the k check came too late")
 
     monkeypatch.setattr(analysis, "_PowerRow", built)
+    monkeypatch.setattr(analysis, "_shared_power", built)
     monkeypatch.setattr(analysis, "_float_base", built)
     code, out, err = run(capsys, "scan", *argv, "--mode", mode)
     assert code == EXIT_ABORTED

@@ -214,8 +214,14 @@ def test_custom_series_unknown_rule():
 def test_series_rule_registry_extension(monkeypatch):
     register_series_rule("ones-test", lambda n: RationalSeries([0] + [1] * n))
     assert custom_series("ones-test", 3).coeffs == (0, 1, 1, 1)
-    register_series_rule("ones-test", lambda n: RationalSeries([0] + [2] * n))  # a user rule may be replaced
-    assert custom_series("ones-test", 3).coeffs == (0, 2, 2, 2)
+    assert scan_conjecture(1, 200, "exact", rule="ones-test").n0 is None
+    # a user rule may be replaced, and the exact scans then drop the ladder of the old one:
+    # reading it would report no violation, and growing it would raise ValueError
+    register_series_rule("ones-test", lambda n: RationalSeries(([0] + [2, 1] * n)[: n + 1]))
+    assert custom_series("ones-test", 3).coeffs == (0, 2, 1, 2)
+    for n_max in (100, 300):
+        report = scan_conjecture(1, n_max, "exact", rule="ones-test")
+        assert (report.n0, report.certified, report.violations_checked) == (2, True, 1)
     # the built-in rules may not: series keys its sigma_{-1} fast paths on the name, so a
     # shadowing rule would scan and tabulate under the name in two different ways
     monkeypatch.setattr(series, "_SERIES_RULES", dict(series._SERIES_RULES))  # undo a shadowing
