@@ -16,10 +16,12 @@ violate log-concavity (c_n^2 < c_{n-1} c_{n+1}).  Two modes:
   f^j below j times f's first nonzero index without computing them.  The
   scans of a rule share one ladder, which `series` keeps and drops when the
   rule is registered again, so a scan of k reuses the rows f^2..f^(k-1)
-  that earlier scans built and keeps its rows.  The truncation order
-  doubles, from the order the ladder already has, until a violation is
-  found or n_max is reached; each doubling only appends and checks the new
-  coefficients.  The same kernel serves the exact fallback below, the
+  that earlier scans built and keeps its rows.  Past the order the ladder
+  already has, the scan builds at the first order of the doubling schedule
+  where f^k in float64 shows a violation (a guess; the exact pass checks
+  every n below it), and doubles on until a violation is found or n_max
+  is reached; each pass only appends and checks the new coefficients, on
+  their logs first.  The same kernel serves the exact fallback below, the
   coefficients c_{n,k}, the partial sums and the truncated surrogates, each
   of which builds its own one-shot ladder and frees it as it goes.
 * adaptive-float: ball-arithmetic enclosures of f^k (binary powering) at 53
@@ -52,7 +54,9 @@ from .series import (
     BallSeries,
     _float_base,
     _ld_available,
+    _convolve_prefix,
     _PowerRow,
+    _shared_order,
     _shared_power,
     pi2_over_6_bounds,
 )
@@ -75,6 +79,28 @@ def is_log_concave(seq: Sequence) -> int | None:
     for i in range(1, len(seq) - 1):
         if seq[i] * seq[i] < seq[i - 1] * seq[i + 1]:
             return i
+    return None
+
+
+def _first_violation(c: list[int], lo: int, hi: int) -> int | None:
+    """The first n in lo..hi-1 with c_n^2 < c_{n-1} c_{n+1}, decided exactly.
+
+    Where all three are positive, the logs decide first: math.log2 of an int
+    is within a few units of roundoff of its size, so a gap 2 log2 c_n -
+    log2 c_{n-1} - log2 c_{n+1} wider than 2^-40 (1 + the sum of the logs)
+    has the sign of the exact comparison.  A narrower gap, a zero or a
+    negative entry is cross-multiplied.  A scan's reads then cost little
+    beside its builds, at whatever order the shared ladder holds the row.
+    """
+    a, b = (math.log2(x) if x > 0 else -1.0 for x in c[lo - 1 : lo + 1])
+    for n in range(lo, hi):
+        d = math.log2(c[n + 1]) if c[n + 1] > 0 else -1.0
+        if min(a, b, d) < 0 or abs(2 * b - a - d) <= (a + 2 * b + d + 1) * 2.0**-40:
+            if c[n] * c[n] < c[n - 1] * c[n + 1]:
+                return n
+        elif 2 * b < a + d:
+            return n
+        a, b = b, d
     return None
 
 
@@ -214,6 +240,39 @@ def _ball_scan(ball: BallSeries, k: int, n_stop: int) -> _BallScanOutcome:
     return _BallScanOutcome(first, [int(u) for u in und_idx])
 
 
+def _float_power(f: np.ndarray, k: int) -> np.ndarray:
+    """f^k truncated to len(f) coefficients, by binary powering in f's dtype."""
+    acc = f
+    for bit in bin(k)[3:]:
+        acc = _convolve_prefix(acc, acc)
+        if bit == "1":
+            acc = _convolve_prefix(acc, f)
+    return acc
+
+
+def _build_order(rule: str, k: int, order: int, n_max: int) -> int:
+    """The order of the doubling schedule from `order` that the exact scan builds next.
+
+    It is the first whose float64 power f^k (midpoints, no radii) shows a
+    violation below it or a coefficient that is not finite, else n_max.
+    This is a guess, never a certificate: the exact scan checks every n
+    below the order it builds and doubles on when it finds none.  A rule
+    that has no float64 image (a negative or out-of-range coefficient) gets
+    no guess: the scan builds at `order`.
+    """
+    while order < n_max:
+        try:
+            f = _float_base(rule, order, np.float64).mid
+        except ValueError:
+            return order
+        with np.errstate(over="ignore", invalid="ignore", under="ignore"):
+            p = _float_power(f, k)
+            if not np.isfinite(p).all() or (p[2:-1] * p[2:-1] < p[1:-2] * p[3:]).any():
+                return order
+        order = min(2 * order, n_max)
+    return n_max
+
+
 def default_scan_bound(k: int) -> int:
     """Default n_max: the conjectured window 2^k with doubling headroom,
     floored so that small k still reach their first violation.  A k whose
@@ -254,9 +313,11 @@ def scan_conjecture(
     if mode == "exact":
         lo, order = 2, min(max(64, k + 2), n_max)
         while True:
-            c = _shared_power(rule, k, order)  # the orders its ladder already has come free
+            if order > _shared_order(rule, k):  # the orders its ladder already has come free
+                order = _build_order(rule, k, order, n_max)
+            c = _shared_power(rule, k, order)
             order = min(len(c) - 1, n_max)
-            n0 = next((n for n in range(lo, order) if c[n] * c[n] < c[n - 1] * c[n + 1]), None)
+            n0 = _first_violation(c, lo, order)
             if n0 is not None or order == n_max:
                 checked = (n0 - 1) if n0 is not None else order - 2
                 return ScanReport(

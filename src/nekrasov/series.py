@@ -585,6 +585,12 @@ def _shared_power(rule: str, k: int, order: int) -> list[int]:
     return ladder.rows[k] if k <= ladder.k else [0] * (order + 1)
 
 
+def _shared_order(rule: str, k: int) -> int:
+    """The order to which the rule's shared ladder holds row k; -1 when it holds no row k."""
+    ladder = _LADDERS.get(rule)
+    return len(ladder.rows[k]) - 1 if ladder is not None and k <= ladder.k else -1
+
+
 # ---------------------------------------------------------------------------
 # Certified scalar bounds (exact rational enclosures of transcendentals)
 # ---------------------------------------------------------------------------

@@ -931,29 +931,57 @@ def test_freeing_build_computes_only_the_band(monkeypatch):
 
 def test_exact_scans_extend_one_shared_ladder(monkeypatch):
     # the scans of a rule read f^k off one ladder that grows in order and power
-    # and is never freed: a scan extends it only to the orders and powers it lacks
+    # and is never freed: a scan extends it only to the orders and powers it
+    # lacks, and only to the order where float64 first sees a violation
     monkeypatch.setattr(series, "_LADDERS", {})
-    calls, sieves = [], []
-    extend, sieve = _PowerRow.extend, series.sigma_sieve
+    calls, bases = [], []
+    extend, scaled = _PowerRow.extend, series._scaled_rule_base
 
     def recorded(self, order, free=False, power=None):
         calls.append((order, free, power))
         extend(self, order, free, power)
 
     monkeypatch.setattr(_PowerRow, "extend", recorded)
-    monkeypatch.setattr(series, "sigma_sieve", lambda n: sieves.append(n) or sieve(n))
+    monkeypatch.setattr(series, "_scaled_rule_base", lambda rule, n: bases.append(n) or scaled(rule, n))
     assert scan_conjecture(7, mode="exact").n0 == 251
-    assert calls == [(64, False, 7), (128, False, 7), (256, False, 7)]
+    assert calls == [(256, False, 7)]  # not 64 and 128 first: float64 sees no violation there
     ladder = series._LADDERS["sigma-minus-one"]
     calls.clear()
     assert scan_conjecture(6, mode="exact").n0 == 135  # row 6 is there to 256: no extend
     assert calls == []
-    # k = 8 raises the power at the order the ladder has, then extends to 512
+    # k = 8 raises the power and grows the order in one extend
     assert scan_conjecture(8, mode="exact").n0 == 475
-    assert calls == [(256, False, 8), (512, False, 8)]
+    assert calls == [(512, False, 8)]
     assert series._LADDERS["sigma-minus-one"] is ladder and ladder.k == 8 and not ladder.freed
     assert [len(row) for row in ladder.rows] == [513] * 9
-    assert sieves == [64, 128, 256, 512]  # the raised power read the stored rule base
+    assert bases == [256, 512]  # one rule base per order the ladder reached
+
+
+def test_exact_scan_result_does_not_depend_on_the_float_guess(monkeypatch):
+    # the float64 guess only picks the order to build: too low, and the scan
+    # doubles on from it; too high, and the scan still reports the first n
+    expected = {k: scan_conjecture(k, mode="exact") for k in (2, 5, 8)}
+    for guess in (lambda rule, k, order, n_max: order, lambda rule, k, order, n_max: n_max):
+        monkeypatch.setattr(series, "_LADDERS", {})
+        monkeypatch.setattr(analysis, "_build_order", guess)
+        for k in (2, 5, 8):
+            report = scan_conjecture(k, mode="exact")
+            assert (report.n0, report.violations_checked) == (expected[k].n0, expected[k].violations_checked)
+
+
+@pytest.mark.parametrize("seq", [
+    [1, 2, 4, 8, 17, 30],  # a violation at 3, far from equality
+    [1, 1, 1, 1, 1],  # equality throughout: every comparison cross-multiplied
+    [3, 0, 5, 0, 2],  # zeros
+    [4, -2, 1, -3, 5, 2, -7],  # signs
+    [10**400, 10**401, 10**402 + 1, 10**403 + 10**3],  # ties broken far below float64
+    [2**3000 + i * i for i in range(20)],  # logs within 2^-40 of their size
+])
+def test_first_violation_agrees_with_the_cross_multiplication(seq):
+    for lo in range(1, len(seq) - 1):
+        exact = next((n for n in range(lo, len(seq) - 1)
+                      if seq[n] * seq[n] < seq[n - 1] * seq[n + 1]), None)
+        assert analysis._first_violation(seq, lo, len(seq) - 1) == exact
 
 
 def test_exact_scans_in_any_order_give_the_readme_table(monkeypatch):
@@ -1015,12 +1043,20 @@ def test_shared_ladder_dropped_when_an_extend_fails(monkeypatch):
 
 def test_exact_scan_checks_the_order_it_doubled_from():
     # c_n = 1 except c_65 = 3: equality up to n = 63, first violation at n = 64,
-    # the first order of the scan, which only the second pass can check
+    # the first order of the scan.  float64 sees it only at order 128, where the
+    # scan builds; c_1 = -1 leaves the second rule no float64 image, so its
+    # scan builds at 64 and only the second pass can check n = 64
     register_series_rule(
         "bump-at-65-test", lambda n: RationalSeries([1 + 2 * (m == 65) for m in range(n + 1)])
     )
-    report = scan_conjecture(1, 200, "exact", rule="bump-at-65-test")
-    assert report.n0 == 64 and report.violations_checked == 63
+    register_series_rule(
+        "bump-at-65-signed-test",
+        lambda n: RationalSeries([1 + 2 * (m == 65) - 2 * (m == 1) for m in range(n + 1)]),
+    )
+    for rule, first in (("bump-at-65-test", 128), ("bump-at-65-signed-test", 64)):
+        assert analysis._build_order(rule, 1, 64, 200) == first
+        report = scan_conjecture(1, 200, "exact", rule=rule)
+        assert report.n0 == 64 and report.violations_checked == 63
 
 
 def test_partial_sum_lhs_matches_series_power():
