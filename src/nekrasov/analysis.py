@@ -342,10 +342,8 @@ def scan_conjecture(
         undecided = [u for u in undecided if u in still_open]
     if undecided:
         resolvable = [u for u in undecided if u <= exact_fallback]
-        exact_row = _PowerRow(k, rule)
-        if resolvable:
-            exact_row.extend(max(resolvable) + 1, free=True)
-        c = exact_row.nums
+        # a one-shot ladder of its own, off the shared one, so it checks the exact scans independently
+        c = _PowerRow(rule).extend(max(resolvable) + 1, k, free=True) if resolvable else []
         for u in undecided:
             if u > exact_fallback:
                 # cannot certify triple u; the first-violation claim is void
@@ -369,12 +367,12 @@ def scan_conjecture(
 # ---------------------------------------------------------------------------
 
 def _sigma_power(k: int, n: int) -> _PowerRow:
-    """A one-shot sigma_{-1} ladder to q^n; its nums are f^k.
+    """A one-shot sigma_{-1} ladder to q^n whose row k is f^k, for k <= n.
 
     The ladder is cheap enough to rebuild per call, so nothing is cached.
     """
-    row = _PowerRow(k, "sigma-minus-one")
-    row.extend(n, free=True)
+    row = _PowerRow("sigma-minus-one")
+    row.extend(n, k, free=True)
     return row
 
 
@@ -385,7 +383,7 @@ def coefficient_c(n: int, k: int) -> Fraction:
     if n < k:  # f starts at q^1
         return Fraction(0)
     row = _sigma_power(k, n)
-    num = row.nums[n]
+    num = row.rows[k][n]
     return Fraction(num, row.denoms[k]) if num else Fraction(0)
 
 
@@ -410,7 +408,7 @@ def partial_sum_ratio(k: int, n: int) -> RatioReport:
         raise ValueError(f"requires n >= max(2, k^2) = {max(2, k * k)}")
     row = _sigma_power(k - 1, n)
     prefix = list(accumulate(row.base[: n + 1]))
-    lhs = Fraction(sum(map(mul, row.nums[: n + 1], reversed(prefix))), row.denoms[k - 1] * row.denom)
+    lhs = Fraction(sum(map(mul, row.rows[k - 1], reversed(prefix))), row.denoms[k - 1] * row.denom)
     lo6, hi6 = pi2_over_6_bounds()
     binom = math.comb(n, k)
     rhs_lo = lo6**k * binom
@@ -479,9 +477,9 @@ def surrogate_truncated_sequence(k: int, n_lo: int, n_hi: int) -> list[Fraction]
     if k > n_hi - 26:  # c_{i,k} = 0 for every i <= n_hi - 26
         return [Fraction(0)] * (n_hi - n_lo + 1)
     row = _sigma_power(k, n_hi - 26)
-    denom = row.denoms[k] * math.factorial(k)
+    c, denom = row.rows[k], row.denoms[k] * math.factorial(k)
     return [
-        Fraction(sum(partition_count(n - i) * row.nums[i] for i in range(n - 25)), denom)
+        Fraction(sum(partition_count(n - i) * c[i] for i in range(n - 25)), denom)
         for n in range(n_lo, n_hi + 1)
     ]
 

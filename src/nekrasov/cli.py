@@ -155,8 +155,8 @@ def _checks_identities(n_max: int) -> list[tuple[str, bool]]:
     pseries = series.partition_series(n_max)
     checks = [("exp-of-f-equals-partition-series",
                series.series_exp(series.f_series(n_max)) == pseries)]
-    ladder = series._PowerRow(6, "sigma-minus-one")  # rows[k][n] = [q^n] f^k D_k, D_k = denoms[k]
-    ladder.extend(n_max)
+    ladder = series._PowerRow("sigma-minus-one")  # rows[k][n] = [q^n] f^k D_k, D_k = denoms[k]
+    ladder.extend(max(n_max, 6), 6)  # f^6 is 0 below q^6: built there, the rows are read only to q^n_max
     rows, p = ladder.rows, [int(c) for c in pseries]
 
     def cauchy(x: list[int], y: list[int], n: int) -> int:

@@ -6,8 +6,8 @@ partition series and f = sum_n sigma_{-1}(n) q^n.  The table A[n][k] also
 comes from part-multiplicity binomials, from trivial-leg hooks (row i's are
 1..lambda_i - lambda_{i+1}, the multiplicity roots 1..k_i of the conjugate: a
 relabelling, term by term), or as the paper's column P f^k / k!, f^k read off
-the exact power ladder and P divided out by Euler's pentagonal recurrence, up
-to TABLE_LIMIT.  The enumeration methods have a configurable partition budget.
+the exact power ladder and P divided out by Euler's pentagonal recurrence, for
+n up to TABLE_LIMIT.  The enumeration methods have a configurable partition budget.
 
 Every route runs in integers over known denominators (k! D_k for column k of
 the table, n! for the trivial-leg hooks and the multiplicities, (n!)^2 for
@@ -206,9 +206,9 @@ class _QTable:
     Dividing by P is multiplying by Euler's prod (1 - q^m) = sum_j (-1)^j
     q^(j(3j-1)/2), so b_n = rows[.][n] + b_{n-1} + b_{n-2} - b_{n-5} - b_{n-7} + ...
     (one pass over all columns per pentagonal number) and A[n][k] = b_n[k] / (k! D_k).
-    Growing to N' extends the ladder to N' and moves each stored column k to
-    D_k(N') as the ladder moves its rows, exactly.  Row n also stores its
-    QPolynomial Q_n, the object warm reads return.  The Heim-Neuhauser
+    Growing to N' raises the ladder to power and order N' (rows f^0..f^N') and
+    moves each stored column k to D_k(N') as its rows move.  Row n also stores
+    its QPolynomial Q_n, the object warm reads return.  The Heim-Neuhauser
     recurrence is the tests' oracle.  Unlocked: the package runs single-threaded.
     """
 
@@ -216,22 +216,22 @@ class _QTable:
         self.ints: list[list[int]] = []  # ints[n][k] = b_n[k], over denoms[k]
         self.denoms: list[int] = []  # the D_k of the stored columns
         self.rows: list[QPolynomial] = []  # rows[n].coeffs[k] = A[n][k]
-        self.powers = _PowerRow(TABLE_LIMIT, "sigma-minus-one")  # never freed
+        self.powers = _PowerRow("sigma-minus-one")  # never freed
 
     @property
     def n_max(self) -> int:
         return len(self.rows) - 1
 
     def ensure(self, n_max: int) -> None:
-        """Extend the ladder to n_max, move the stored columns to its D_k and append b_n, A[n][.]."""
+        """Raise the ladder to power and order n_max, move the columns to its D_k, append b_n and A[n][.]."""
         if n_max <= self.n_max:
             return
         if n_max > TABLE_LIMIT:
             raise ValueError(f"n={n_max} is above the Q table limit {TABLE_LIMIT}")
         powers, ints = self.powers, self.ints
-        powers.extend(n_max)
-        denoms = list(powers.denoms)
-        for k, old in enumerate(self.denoms[: self.n_max + 1]):  # column k moves to the new D_k
+        powers.extend(n_max, n_max)
+        denoms = powers.denoms[: n_max + 1]  # at n_max = 0 the ladder still holds f
+        for k, old in enumerate(self.denoms):  # column k moves to the new D_k
             if old != denoms[k]:
                 r = math.gcd(denoms[k], old)
                 for n, b in enumerate(ints[k:], k):
@@ -242,7 +242,7 @@ class _QTable:
         # (m, sign) for the generalized pentagonal numbers m = j(3j -+ 1)/2 <= n_max, ascending
         steps = [(m, add if j % 2 else sub) for j in range(1, math.isqrt(n_max) + 2)
                  for m in (j * (3 * j - 1) // 2, j * (3 * j + 1) // 2) if m <= n_max]
-        scales = [math.factorial(k) * d for k, d in enumerate(denoms[: n_max + 1])]
+        scales = [math.factorial(k) * d for k, d in enumerate(denoms)]
         for n in range(self.n_max + 1, n_max + 1):
             b = [row[n] for row in powers.rows[: n + 1]]
             for m, sign in steps:

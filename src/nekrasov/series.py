@@ -189,7 +189,7 @@ def series_rule_names() -> list[str]:
 
 
 def custom_series(rule: str, n_max: int) -> RationalSeries:
-    """Build a series from a registered generating rule."""
+    """Build a series from a registered generating rule, refusing one of another order."""
     if n_max < 0:
         raise ValueError("truncation order must be non-negative")
     try:
@@ -197,7 +197,10 @@ def custom_series(rule: str, n_max: int) -> RationalSeries:
     except KeyError:
         known = ", ".join(series_rule_names())
         raise ValueError(f"unknown series rule {rule!r} (known: {known})") from None
-    return builder(n_max)
+    built = builder(n_max)
+    if built.order != n_max:
+        raise ValueError(f"series rule {rule!r} built order {built.order} when asked for order {n_max}")
+    return built
 
 
 # ---------------------------------------------------------------------------
@@ -351,7 +354,7 @@ class _PowerRow:
 
     rows[j][n] = [q^n] f^j D_j with D_j = denoms[j]; D_0 = 1 and D_1 = denom,
     the lcm of f's reduced denominators d_m up to the current order N, so
-    base = rows[1] and nums = rows[k].  D_j is the valuation bound of
+    base = rows[1].  D_j is the valuation bound of
     `_denominators`, far below denom^j: at N = 512, D_8 of sigma_{-1}
     has 1964 bits where denom^8 has 5942.  Applying q d/dq to f^j gives
     q (f^j)' = j f^(j-1) q f', that is n c_{n,j} = j sum_{i=1..n} i f_i
@@ -365,41 +368,37 @@ class _PowerRow:
     small integers, where J.C.P. Miller's power recurrence needs big-by-big
     products.  Row j is built from row j - 1, so the ladder keeps every row
     up to k.  The sums over i are the product of row j - 1 with the Toeplitz
-    matrix of e, computed exactly on BLAS by `_ExactToeplitz`; powers built
-    and orders from 2^21 - 1 up are refused.
+    matrix of e, computed exactly on BLAS by `_ExactToeplitz`; powers and
+    orders from 2^21 - 1 up are refused.
 
-    f^j is 0 below j lead, where lead is the index of f's first nonzero
-    coefficient: those zeros are appended, not computed (a row with j lead
-    > N runs no kernel), and row j reads row j - 1 only from (j - 1) lead.
-    `extend` moves each stored row j that is not all zero to the D_j of the
-    new order (D_j grows with N), then only appends.  `extend(order,
-    power=p)` extends rows 2..p only, so the rows above p keep a lower order;
-    a p above k raises k to p in place, with D_j from the stored rule base,
-    unless f^p is 0 to the order: then it adds and extends no row.  The
-    exact scans share such a ladder (`_shared_power`); a one-shot build that
-    is never extended again passes `free=True`: row j - 1 is dropped once
-    row j is complete (base stays), and a later `extend` raises ValueError.
-    Such a build reads only row k, and row j at n reads row j - 1 only up to
+    A ladder starts at f (k = 1), and only `extend(order, power)` adds rows:
+    it makes rows 0..power available to q^order and returns row `power`.  A
+    power above k raises k in place, with D_j from the stored rule base,
+    unless f^power is 0 to the order (power lead > order, lead the index of
+    f's first nonzero coefficient): then no row is added and zeros are
+    returned, so no stored row above f is 0 to its order.  A power below k
+    extends rows 2..power only; the rows above keep a lower order.  A grown
+    order moves every stored row j to its D_j at the new order, then only
+    appends.  f^j is 0 below j lead: those zeros are appended, not computed,
+    and row j reads row j - 1 only from (j - 1) lead.  The exact scans
+    share such a ladder (`_shared_power`); a one-shot build that is never
+    extended again passes `free=True`: row j - 1 is dropped once row j is
+    complete (base stays), and a later `extend` raises ValueError.  Such a
+    build reads only row `power`, and row j at n reads row j - 1 only up to
     n - s, where s >= 1 is the first i with e_i != 0 (s = 1 when every e_i
-    is 0); so it stops row j at order - (k - j) s, and a high power built to
-    a low order costs little.
+    is 0); so it stops row j at order - (power - j) s, and a high power
+    built to a low order costs little.
     """
 
-    def __init__(self, k: int, rule: str):
-        if k + 1 >= _MAX_WEIGHTS:
-            raise ValueError(f"power {k} is above the exact power ladder's limit {_MAX_WEIGHTS - 2}")
-        self.k = k
+    def __init__(self, rule: str):
+        self.k = 1
         self.rule = rule
         self.base: list[int] = []
         self.denom = 1
         self.dens: list[int] = []  # the reduced denominators d_m of f, kept for raising k
-        self.denoms = [1] * (k + 1)
-        self.rows: list[list[int] | None] = [[] for _ in range(k + 1)]
+        self.denoms = [1, 1]
+        self.rows: list[list[int] | None] = [[], []]
         self.freed = False
-
-    @property
-    def nums(self) -> list[int]:
-        return self.rows[self.k]
 
     def _denominators(self, denom: int, nums: list[int], dens: list[int]) -> list[int]:
         """D_0..D_k at order N for f = nums / denom, whose f_m has reduced denominator dens[m].
@@ -416,12 +415,11 @@ class _PowerRow:
         divides D_j(N'); more factors can, since each spends lead, so
         D_j / D_{j-1} is a fraction in general.  The d_m above N are not
         factored: their primes keep their power in denom, charged at power j
-        as in denom^j.  Rows above N / lead are 0 to q^N: they share one
-        int object, the D_j of the last row that is not.
+        as in denom^j.  The ladder stores no row j with j lead > N, so every
+        j <= k has a vertex of the envelope within its budget.
         """
         k, order = self.k, len(dens) - 1
         lead = next((m for m, c in enumerate(nums) if c), order + 1)
-        top = min(k, order // lead) if lead else k  # the rows that can be nonzero to q^N
         big = math.lcm(*(d for d in dens if d > order))
         tail, rest, g = 1, denom, math.gcd(denom, big)
         while g > 1:  # tail starts as the part of denom on the primes of big
@@ -437,7 +435,7 @@ class _PowerRow:
             if sieve[p]:
                 sieve[p * p :: p] = bytes(len(range(p * p, order + 1, p)))
         primes = [p for p in compress(range(order + 1), sieve) if not rest % p]
-        up, down = [1] * (top + 1), [1] * (top + 1)  # D_j / (D_{j-1} tail) = up[j] / down[j]
+        up, down = [1] * (k + 1), [1] * (k + 1)  # D_j / (D_{j-1} tail) = up[j] / down[j]
         for p in primes:
             w, q = [0], p
             m = min(first[p::p])  # w(a) is the least first[v] over the multiples v <= N of p^a
@@ -460,11 +458,11 @@ class _PowerRow:
             # C(j), the costed levels of j factors: with (a, y) the last vertex within the
             # budget, j (lead + y) <= N, it is j a plus what the next rise buys with the rest
             s, j, prev = len(hull) - 1, 1, 0
-            while j <= top:
+            while j <= k:
                 while j * (hull[s][1] + lead) > order:
                     s -= 1
                 a, y = hull[s]
-                end = min(order // (y + lead), top) if y + lead else top  # the last j at this vertex
+                end = min(order // (y + lead), k) if y + lead else k  # the last j at this vertex
                 if s == len(hull) - 1:  # every level fits: C(j) = j a
                     step = p**a
                     for i in range(max(j, 2), end + 1):
@@ -486,21 +484,23 @@ class _PowerRow:
                         j = min((start - levels * dy) // -slope + 1, end + 1)
                     else:
                         j = end + 1
-        denoms = [1, denom][: k + 1]
-        for j in range(2, top + 1):
+        denoms = [1, denom]
+        for j in range(2, k + 1):
             denoms.append(denoms[-1] * up[j] * tail // down[j])
-        return denoms + [denoms[-1]] * (k + 1 - len(denoms))  # rows past top are 0 to q^N
+        return denoms
 
-    def extend(self, order: int, free: bool = False, power: int | None = None) -> None:
-        """Make rows[0..power][0..order] available; power defaults to k."""
+    def extend(self, order: int, power: int, free: bool = False) -> list[int]:
+        """Make rows[0..power][0..order] available; row `power`, or zeros if f^power is 0 to the order."""
         if order + 1 >= _MAX_WEIGHTS:
             raise ValueError(f"order {order} is above the exact power ladder's limit {_MAX_WEIGHTS - 2}")
+        if power + 1 >= _MAX_WEIGHTS:
+            raise ValueError(f"power {power} is above the exact power ladder's limit {_MAX_WEIGHTS - 2}")
         if self.freed:
             raise ValueError("this power row freed its ladder and cannot be extended")
-        rows, power = self.rows, self.k if power is None else power
-        if power <= self.k and order < len(rows[power]):
-            return
-        old, k = len(self.base), self.k
+        rows, k = self.rows, self.k
+        if power <= k and order < len(rows[power]):
+            return rows[power]
+        old = len(self.base)
         grown = order >= old
         base, denom, dens = self.base, self.denom, self.dens
         if grown:
@@ -509,16 +509,15 @@ class _PowerRow:
             if rem or [c * scale for c in self.base] != base[:old]:
                 raise ValueError(f"series rule {self.rule!r} changed its coefficients below q^{old}")
         lead = next((i for i, c in enumerate(base) if c), len(base))  # f^j = 0 below j lead
-        if power > k and lead and power * lead > order:  # f^power is 0 to the order: build no row above f
+        zero = power > k and lead and power * lead > order  # f^power is 0 to the order: no row above f
+        if zero:
             power = 1
         elif power > k:
             self.k = power
             rows += [[] for _ in range(power - k)]
         if grown or self.k > k:
             denoms = self._denominators(denom, base, dens)
-            for j, row in enumerate(rows[2 : k + 1], 2):  # a grown order moves every stored row to its new D_j
-                if not grown or not any(row):  # empty or 0 to the old order, and so are the rows above it
-                    break
+            for j, row in enumerate(rows[2 : k + 1] if grown else [], 2):  # to the D_j of the new order
                 r = math.gcd(denoms[j], self.denoms[j])
                 up, down = denoms[j] // r, self.denoms[j] // r
                 if down != 1:  # only when a d_m above the old order is now factored
@@ -528,18 +527,17 @@ class _PowerRow:
             self.base, self.denom, self.dens, self.denoms = base, denom, dens, denoms
         base, denom, denoms = self.base, self.denom, self.denoms
         rows[0] += [int(n == 0) for n in range(len(rows[0]), order + 1)]
-        if self.k >= 1:
-            rows[1] = base
+        rows[1] = base
         weights = [i * c for i, c in enumerate(base[: order + 1])]
         g = math.gcd(*weights) or 1
         toeplitz = _ExactToeplitz([w // g for w in weights])
         s = next((i for i, w in enumerate(weights) if w), 1)  # e_i = 0 for i < s
-        for j in range(2, min(power, self.k) + 1):
+        for j in range(2, power + 1):
             row = rows[j]
             if not row:  # f_0^j D_j = f_0^(j-1) D_(j-1) f_0 denom D_j / (denom D_(j-1))
                 row.append(_divide_exactly(rows[j - 1][0] * base[0] * denoms[j], denom * denoms[j - 1], j, 0)
                            if base[0] else 0)
-            top = order - (self.k - j) * s if free else order  # the band row k needs
+            top = order - (power - j) * s if free else order  # the band row `power` needs
             row += [0] * (min(j * lead, top + 1) - len(row))
             if len(row) <= top:  # the multiplier j g D_j / (denom D_(j-1)), reduced
                 up, down = j * g * denoms[j], denom * denoms[j - 1]
@@ -555,6 +553,7 @@ class _PowerRow:
                 row.append(c)
         if free:
             self.freed = True
+        return [0] * (order + 1) if zero else rows[power]
 
 
 def _divide_exactly(num: int, den: int, j: int, n: int) -> int:
@@ -574,15 +573,15 @@ def _shared_power(rule: str, k: int, order: int) -> list[int]:
     ladder whose `extend` raises is dropped: a rescale stopped halfway
     leaves rows over two denominators.
     """
-    ladder = _LADDERS.setdefault(rule, _PowerRow(1, rule))
+    ladder = _LADDERS.setdefault(rule, _PowerRow(rule))
     order = max(order, len(ladder.rows[min(k, ladder.k)]) - 1)
-    if k > ladder.k or order >= len(ladder.rows[k]):
-        try:
-            ladder.extend(order, power=k)
-        except BaseException:
-            del _LADDERS[rule]
-            raise
-    return ladder.rows[k] if k <= ladder.k else [0] * (order + 1)
+    if k <= ladder.k and order < len(ladder.rows[k]):
+        return ladder.rows[k]
+    try:
+        return ladder.extend(order, k)
+    except BaseException:
+        del _LADDERS[rule]
+        raise
 
 
 def _shared_order(rule: str, k: int) -> int:

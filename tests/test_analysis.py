@@ -331,8 +331,11 @@ KERNEL_RULES = [
 ]
 
 
-def _row_values(row: _PowerRow) -> list[Fraction]:
-    return [Fraction(c, row.denoms[row.k]) for c in row.nums]
+def _row_values(row: _PowerRow, k: int) -> list[Fraction]:
+    # a ladder stores no row that is 0 to its order: such a row reads as zeros
+    if k > row.k:
+        return [Fraction(0)] * len(row.base)
+    return [Fraction(c, row.denoms[k]) for c in row.rows[k]]
 
 
 @pytest.mark.parametrize("rule", KERNEL_RULES)
@@ -343,25 +346,25 @@ def test_power_row_matches_series_power(rule):
         # series_power(f, k) takes k - 1 successive products with f: each from the last
         power = series_multiply(power, f) if k > 1 else series_power(f, k)
         oracle = list(power.coeffs)
-        built = _PowerRow(k, rule)
-        built.extend(60)
-        assert _row_values(built) == oracle
-        grown = _PowerRow(k, rule)
+        built = _PowerRow(rule)
+        built.extend(60, k)
+        assert _row_values(built, k) == oracle
+        grown = _PowerRow(rule)
         for order in (5, 17, 40, 60):
-            grown.extend(order)
-            assert _row_values(grown) == oracle[: order + 1]
+            grown.extend(order, k)
+            assert _row_values(grown, k) == oracle[: order + 1]
 
 
 def test_power_row_late_start_through_first_order():
     f = custom_series("late-start-test", 200)
     for k in (1, 2):
-        row = _PowerRow(k, "late-start-test")
-        row.extend(64)
-        assert not any(row.nums)
-        row.extend(128)
-        row.extend(200)
+        row = _PowerRow("late-start-test")
+        row.extend(64, k)
+        assert not any(_row_values(row, k))
+        row.extend(128, k)
+        row.extend(200, k)
         sq = series_power(f, k).coeffs
-        assert _row_values(row) == list(sq)
+        assert _row_values(row, k) == list(sq)
         expected = next((n for n in range(2, 200) if sq[n] * sq[n] < sq[n - 1] * sq[n + 1]), None)
         report = scan_conjecture(k, 200, "exact", rule="late-start-test")
         assert report.certified and report.n0 == expected
@@ -370,12 +373,11 @@ def test_power_row_late_start_through_first_order():
 def test_power_row_extended_in_steps_equals_built_at_once():
     for rule in ("sigma-minus-one", "remark-series", "late-start-test", "mixed-signs-test"):
         for k in (2, 5):
-            grown = _PowerRow(k, rule)
+            grown = _PowerRow(rule)
             for order in (64, 100, 200):
-                grown.extend(order)
-            built = _PowerRow(k, rule)
-            built.extend(200)
-            assert (grown.nums, grown.denom, grown.base) == (built.nums, built.denom, built.base)
+                nums = grown.extend(order, k)
+            built = _PowerRow(rule)
+            assert (nums, grown.denom, grown.base) == (built.extend(200, k), built.denom, built.base)
 
 
 @pytest.mark.parametrize(
@@ -384,11 +386,11 @@ def test_power_row_extended_in_steps_equals_built_at_once():
 def test_power_row_square_grown_equals_the_full_product(rule):
     # the oracle forms every pair of the square, so it shares no code with
     # the ladder, which builds f^2 from f by q d/dq
-    row = _PowerRow(2, rule)
+    row = _PowerRow(rule)
     for order in (64, 100, 200):
-        row.extend(order)
+        row.extend(order, 2)
     base, scale = row.base, row.denoms[2]
-    assert [c * row.denom**2 for c in row.nums] == [
+    assert [c * row.denom**2 for c in row.rows[2]] == [
         sum(base[i] * base[n - i] for i in range(n + 1)) * scale for n in range(201)
     ]
 
@@ -397,10 +399,10 @@ def test_power_row_refuses_a_rule_that_rewrites_its_prefix():
     register_series_rule(
         "order-dependent-test", lambda n: RationalSeries([0] + [Fraction(1, n)] * n)
     )
-    row = _PowerRow(2, "order-dependent-test")
-    row.extend(10)
+    row = _PowerRow("order-dependent-test")
+    row.extend(10, 2)
     with pytest.raises(ValueError, match="changed its coefficients"):
-        row.extend(20)
+        row.extend(20, 2)
 
 
 class _MillerRow:
@@ -461,27 +463,27 @@ def _oracle(k: int, rule: str, orders) -> _MillerRow:
 
 def _same_row(row: _PowerRow, oracle: _MillerRow) -> bool:
     # the oracle keeps row k over denom^k, the ladder over its own D_k: compare values
-    k = row.k
-    return (row.denom, row.base) == (oracle.denom, oracle.base) and [
-        Fraction(c, row.denoms[k]) for c in row.nums
-    ] == [Fraction(c, oracle.denom**k) for c in oracle.nums]
+    k = oracle.k
+    return (row.denom, row.base) == (oracle.denom, oracle.base) and _row_values(row, k) == [
+        Fraction(c, oracle.denom**k) for c in oracle.nums
+    ]
 
 
 @pytest.mark.parametrize("rule", KERNEL_RULES)
 def test_ladder_built_at_once_equals_millers_row(rule):
     for order in (1, 5, 64, 130):
         for k in range(10):
-            row = _PowerRow(k, rule)
-            row.extend(order)
+            row = _PowerRow(rule)
+            row.extend(order, k)
             assert _same_row(row, _oracle(k, rule, [order])), (order, k)
 
 
 @pytest.mark.parametrize("rule", KERNEL_RULES)
 def test_ladder_grown_equals_millers_row(rule):
     for k in range(10):
-        row = _PowerRow(k, rule)
+        row = _PowerRow(rule)
         for order in (64, 100, 200):
-            row.extend(order)
+            row.extend(order, k)
         assert _same_row(row, _oracle(k, rule, [64, 100, 200])), k
 
 
@@ -489,15 +491,15 @@ def test_ladder_grown_equals_millers_row(rule):
 def test_ladder_freeing_build_equals_millers_row_and_refuses_to_grow(rule):
     for k in range(10):
         for orders in ([64, 130], [3, 5]):  # at order 5, f^6..f^9 of a rule with lead >= 1 are 0
-            row = _PowerRow(k, rule)
-            row.extend(orders[0])
-            row.extend(orders[1], free=True)
+            row = _PowerRow(rule)
+            row.extend(orders[0], k)
+            row.extend(orders[1], k, free=True)
             assert _same_row(row, _oracle(k, rule, orders)), (k, orders)
             assert all(r is None for r in row.rows[2:k])  # only base and f^k are kept
             with pytest.raises(ValueError, match="freed"):
-                row.extend(200)
+                row.extend(200, k)
             with pytest.raises(ValueError, match="freed"):
-                row.extend(10)
+                row.extend(10, k)
 
 
 @pytest.mark.parametrize("rule", KERNEL_RULES)
@@ -505,26 +507,26 @@ def test_freeing_build_equals_full_build(rule):
     # a freeing build stops row j < k at order - (k - j) s; row k must not notice
     for k in range(10):
         for orders in ([0], [1], [64], [130], [64, 130]):
-            full, freeing = _PowerRow(k, rule), _PowerRow(k, rule)
+            full, freeing = _PowerRow(rule), _PowerRow(rule)
             for order in orders:
-                full.extend(order)
+                nums = full.extend(order, k)
             for order in orders[:-1]:
-                freeing.extend(order)
-            freeing.extend(orders[-1], free=True)
-            assert (freeing.nums, freeing.denom, freeing.base) == (
-                full.nums, full.denom, full.base
+                freeing.extend(order, k)
+            assert (freeing.extend(orders[-1], k, free=True), freeing.denom, freeing.base) == (
+                nums, full.denom, full.base
             ), (k, orders)
 
 
 class _LoopRow(_PowerRow):
     """The ladder with its sums as first written, one Python loop per entry:
-    the oracle of `_ExactToeplitz`.  Same rows and free band, row j over denom^j."""
+    the oracle of `_ExactToeplitz`.  Same rows and free band, row j over denom^j;
+    one power per ladder, never a row that is 0 to its order."""
 
-    def extend(self, order: int, free: bool = False) -> None:
+    def extend(self, order: int, power: int, free: bool = False) -> None:
         if self.freed:
             raise ValueError("this power row freed its ladder and cannot be extended")
         rows = self.rows
-        if order < len(rows[self.k]):
+        if power <= self.k and order < len(rows[power]):
             return
         old = len(self.base)
         if order >= old:
@@ -534,9 +536,12 @@ class _LoopRow(_PowerRow):
             rows[2:] = [[c * scale**j for c in row] for j, row in enumerate(rows[2:], 2)]
             self.base, self.denom = base, denom
         base = self.base
+        lead = next((i for i, c in enumerate(base) if c), len(base))
+        if power > self.k and not (lead and power * lead > order):
+            rows += [[] for _ in range(power - self.k)]
+            self.k = power
         rows[0] += [int(n == 0) for n in range(len(rows[0]), order + 1)]
-        if self.k >= 1:
-            rows[1] = base
+        rows[1] = base
         weights = [i * c for i, c in enumerate(base[: order + 1])]
         g = math.gcd(*weights) or 1
         rev = [w // g for w in reversed(weights)]  # rev[order - i] = e_i
@@ -588,10 +593,10 @@ def test_ladder_matches_the_loop(rule):
     for k in (0, 1, 2, 3, 7):
         for orders, free in (([100], False), ([1, 2, 40, 41, 100], False),
                              ([100], True), ([30, 75, 100], True), ([5], True)):
-            row, oracle = _PowerRow(k, rule), _LoopRow(k, rule)
+            row, oracle = _PowerRow(rule), _LoopRow(rule)
             for order in orders:
-                row.extend(order, free and order == orders[-1])
-                oracle.extend(order, free and order == orders[-1])
+                row.extend(order, k, free and order == orders[-1])
+                oracle.extend(order, k, free and order == orders[-1])
                 assert _same_ladder(row, oracle), (k, orders, free, order)
 
 
@@ -647,16 +652,16 @@ def fraction_squares():
 @pytest.mark.parametrize("rule", DENOMINATOR_RULES)
 def test_row_denominators_grown_and_built_give_the_fraction_powers(rule, fraction_squares):
     oracle, k = fraction_squares[rule], 2
-    grown = _PowerRow(k, rule)
+    grown = _PowerRow(rule)
     for order in (64, 128, 256, 300):
-        grown.extend(order)
+        grown.extend(order, k)
         for j in range(k + 1):
             d, row = grown.denoms[j], grown.rows[j]
             assert len(row) == order + 1 and all(
                 c * x.denominator == x.numerator * d for c, x in zip(row, oracle[j])
             ), (order, j)
-    built = _PowerRow(k, rule)
-    built.extend(300)
+    built = _PowerRow(rule)
+    built.extend(300, k)
     assert (built.rows, built.denoms) == (grown.rows, grown.denoms)
     assert all(built.denom**j % d == 0 for j, d in enumerate(built.denoms))
 
@@ -711,12 +716,12 @@ def test_row_denominators_against_the_brute_force_valuations(rule):
     for order, k in ((12, 16), (30, 6)):
         base, denom, dens = _scaled_rule_base(rule, order)
         lead = next((m for m, c in enumerate(base) if c), order + 1)
-        top = min(k, order // lead) if lead else k  # rows above top are 0 to q^N
-        row = _PowerRow(k, rule)
+        top = min(k, order // lead) if lead else k  # rows above top are 0 to q^N: no ladder holds them
+        row = _PowerRow(rule)
         for step in (order // 2, order):
-            row.extend(step)
-        assert [Fraction(c, row.denoms[k]) for c in row.nums] == list(
-            series_power(custom_series(rule, order), k).coeffs)
+            row.extend(step, k)
+        assert _row_values(row, k) == list(series_power(custom_series(rule, order), k).coeffs)
+        row.extend(order, top)
         big = [d for d in dens if d > order]
         for p in (p for p in range(2, order + 1) if all(p % q for q in range(2, p)) and denom % p == 0):
             if any(d % p == 0 for d in big):
@@ -732,8 +737,8 @@ def test_row_denominators_against_the_brute_force_valuations(rule):
 
 
 def test_row_denominators_pin_the_order_512_ladder():
-    row = _PowerRow(8, "sigma-minus-one")
-    row.extend(512)
+    row = _PowerRow("sigma-minus-one")
+    row.extend(512, 8)
     # denom^8 has 5942 bits; row 8's true common denominator has 1964
     assert row.denoms[8].bit_length() <= 1964 < (row.denom**8).bit_length()
     assert all(row.denom**j % d == 0 for j, d in enumerate(row.denoms))
@@ -741,12 +746,16 @@ def test_row_denominators_pin_the_order_512_ladder():
     assert row.denoms[4] % 509 == 0 and row.denoms[5] % 509
 
 
-def test_tall_ladder_shares_one_denominator_past_the_order():
-    # f^j is 0 to q^N for j > N, and those rows share D_N, one int object
-    row = _PowerRow(5000, "sigma-minus-one")
-    row.extend(100, free=True)
-    assert row.nums == [0] * 101 and row.denoms[100] == 1
-    assert len({id(d) for d in row.denoms[100:]}) == 1
+def test_refused_raise_stores_no_row_above_f():
+    # f^5000 is 0 to q^100: the raise returns zeros and stores no row above f
+    row = _PowerRow("sigma-minus-one")
+    assert row.extend(100, 5000) == [0] * 101
+    assert (row.k, len(row.rows), len(row.denoms), len(row.rows[1])) == (1, 2, 2, 101)
+    assert row.extend(100, 100)[100] == row.denoms[100]  # c_{100,100} = 1
+    assert row.k == 100 and all(len(r) == 101 for r in row.rows)
+    one_shot = _PowerRow("sigma-minus-one")
+    assert one_shot.extend(100, 5000, free=True) == [0] * 101
+    assert (one_shot.k, len(one_shot.rows), one_shot.freed) == (1, 2, True)
 
 
 @pytest.mark.parametrize("short", [2, 3, 467])
@@ -757,9 +766,9 @@ def test_ladder_refuses_a_row_denominator_one_prime_short(short):
             denoms = super()._denominators(denom, nums, dens)
             return denoms[:-1] + [denoms[-1] // short]
 
-    row = ShortRow(8, "sigma-minus-one")
+    row = ShortRow("sigma-minus-one")
     with pytest.raises(ArithmeticError, match=r"row 8 of the power ladder is not an integer at q\^\d+"):
-        row.extend(512)
+        row.extend(512, 8)
 
 
 def _fraction_rule_base(rule: str, n_max: int) -> tuple[list[int], int, list[int]]:
@@ -875,14 +884,14 @@ def test_ladder_skips_the_zero_prefix(monkeypatch):
     # late-start-test starts at q^70, so f^j is 0 below q^(70 j): those
     # entries are appended, and row j reads row j - 1 from q^(70 (j - 1))
     calls = _record_kernel_calls(monkeypatch)
-    row = _PowerRow(3, "late-start-test")
-    row.extend(300)
+    row = _PowerRow("late-start-test")
+    row.extend(300, 3)
     assert calls == [(70, 140, 301), (140, 210, 301)]
-    oracle = _LoopRow(3, "late-start-test")
-    oracle.extend(300)
+    oracle = _LoopRow("late-start-test")
+    oracle.extend(300, 3)
     assert _same_ladder(row, oracle)
     calls.clear()
-    row.extend(400)  # a grown ladder reads the same prefix and computes only the new entries
+    row.extend(400, 3)  # a grown ladder reads the same prefix and computes only the new entries
     assert calls == [(70, 301, 401), (140, 301, 401)]
 
 
@@ -892,10 +901,10 @@ def test_ladder_order_guard_refuses_before_any_work(monkeypatch):
     with pytest.raises(ValueError, match="limit"):
         coefficient_c(2**21, 2)
     with pytest.raises(ValueError, match="limit"):
-        _PowerRow(2, "sigma-minus-one").extend(2**21 - 1)
+        _PowerRow("sigma-minus-one").extend(2**21 - 1, 2)
     # a power takes the same bound, before its 2^21 rows are allocated
     with pytest.raises(ValueError, match="power 2097151 is above"):
-        _PowerRow(2**21 - 1, "sigma-minus-one")
+        _PowerRow("sigma-minus-one").extend(10, 2**21 - 1)
     assert built == []
 
 
@@ -918,14 +927,12 @@ def test_freeing_build_computes_only_the_band(monkeypatch):
     # below q^j and computes only its entry at q^j
     calls = _record_kernel_calls(monkeypatch)
     k = 40
-    row = _PowerRow(k, "sigma-minus-one")
-    row.extend(k, free=True)
-    assert row.nums[k] == row.denoms[k]  # c_{k,k} = 1
+    row = _PowerRow("sigma-minus-one")
+    assert row.extend(k, k, free=True)[k] == row.denoms[k]  # c_{k,k} = 1
     assert calls == [(j - 1, j, j + 1) for j in range(2, k + 1)]
     # mixed-signs-test has a constant term, so every entry of the band is computed
     calls.clear()
-    row = _PowerRow(k, "mixed-signs-test")
-    row.extend(k, free=True)
+    _PowerRow("mixed-signs-test").extend(k, k, free=True)
     assert calls == [(0, 1, j + 1) for j in range(2, k + 1)]
 
 
@@ -937,9 +944,9 @@ def test_exact_scans_extend_one_shared_ladder(monkeypatch):
     calls, bases = [], []
     extend, scaled = _PowerRow.extend, series._scaled_rule_base
 
-    def recorded(self, order, free=False, power=None):
+    def recorded(self, order, power, free=False):
         calls.append((order, free, power))
-        extend(self, order, free, power)
+        return extend(self, order, power, free)
 
     monkeypatch.setattr(_PowerRow, "extend", recorded)
     monkeypatch.setattr(series, "_scaled_rule_base", lambda rule, n: bases.append(n) or scaled(rule, n))
@@ -1006,20 +1013,20 @@ def test_exact_scans_in_any_order_give_the_readme_table(monkeypatch):
 
 @pytest.mark.parametrize("rule", ["sigma-minus-one", "remark-series", "mixed-signs-test"])
 def test_raised_power_equals_a_fresh_ladder(monkeypatch, rule):
-    fresh = _PowerRow(8, rule)
-    fresh.extend(512)
-    ladder = _PowerRow(2, rule)
-    ladder.extend(512)
+    fresh = _PowerRow(rule)
+    fresh.extend(512, 8)
+    ladder = _PowerRow(rule)
+    ladder.extend(512, 2)
     bases, scaled = [], series._scaled_rule_base
     monkeypatch.setattr(series, "_scaled_rule_base", lambda *args: bases.append(args) or scaled(*args))
-    ladder.extend(512, power=8)  # the D_j of the new rows come from the stored rule base
+    ladder.extend(512, 8)  # the D_j of the new rows come from the stored rule base
     assert bases == []
     assert (ladder.k, ladder.denoms, ladder.rows) == (8, fresh.denoms, fresh.rows)
     # a lower power grows alone; the rows above it keep their order and move to the new D_j
-    ladder.extend(1024, power=3)
+    ladder.extend(1024, 3)
     assert [len(row) for row in ladder.rows] == [1025] * 4 + [513] * 5
-    ladder.extend(1024, power=8)
-    fresh.extend(1024)
+    ladder.extend(1024, 8)
+    fresh.extend(1024, 8)
     assert (ladder.denoms, ladder.rows) == (fresh.denoms, fresh.rows)
 
 
@@ -1118,7 +1125,7 @@ def test_coefficient_below_its_power_builds_no_ladder(monkeypatch):
     assert coefficient_c(0, 1) == 0
     assert built == []
     assert coefficient_c(3, 2) == 3  # the counter sees a ladder that is built
-    assert built == [(2, "sigma-minus-one")]
+    assert built == [("sigma-minus-one",)]
 
 
 def test_surrogate_above_its_power_builds_no_ladder(monkeypatch):
@@ -1136,7 +1143,7 @@ def test_surrogate_above_its_power_builds_no_ladder(monkeypatch):
     assert surrogate_truncated(28, 3) == 0
     assert built == []
     assert surrogate_truncated_sequence(4, 27, 30)[-1] > 0  # the counter sees a ladder that is built
-    assert built == [(4, "sigma-minus-one")]
+    assert built == [("sigma-minus-one",)]
 
 
 # ---------------------------------------------------------------------------

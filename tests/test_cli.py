@@ -221,15 +221,27 @@ def test_verify_identities(capsys):
     assert any("four-way-agreement" in line for line in lines)
 
 
+@pytest.mark.parametrize("suite", ["identities", "all"])
+@pytest.mark.parametrize("n_max", range(8))
+def test_verify_passes_at_the_smallest_sizes(capsys, suite, n_max):
+    # below n_max = 6 the identity check reads rows of f^6, which is 0 to q^n_max
+    code, out, _ = run(capsys, "verify", "--suite", suite, "--n-max", str(n_max))
+    assert code == EXIT_OK
+    lines = out.strip().splitlines()
+    assert lines[0] == "suite,check,status" and len(lines) > 1
+    assert all(line.endswith(",pass") for line in lines[1:])
+
+
 @pytest.mark.parametrize("row, failing", [
     (6, ["power-consistency"]),  # row 6 is only compared with products of lower rows
     (3, ["generating-identity-per-k", "power-consistency"]),
 ])
 def test_verify_identities_catches_a_wrong_ladder_coefficient(capsys, monkeypatch, row, failing):
     class Perturbed(series._PowerRow):
-        def extend(self, order, free=False):
-            super().extend(order, free)
+        def extend(self, order, power, free=False):
+            built = super().extend(order, power, free)
             self.rows[row][order // 2] += 1
+            return built
 
     monkeypatch.setattr(series, "_PowerRow", Perturbed)
     code, out, _ = run(capsys, "verify", "--suite", "identities", "--n-max", "20")
@@ -243,7 +255,7 @@ def test_verify_identities_catches_a_wrong_table_ladder(capsys, monkeypatch):
     # the generating identity builds its own ladder, so a wrong entry in the Q table's
     # ladder shows: column 3 of the table is wrong from n = 10 on
     table = darcais._QTable()
-    table.powers.extend(20)
+    table.powers.extend(20, 20)
     table.powers.rows[3][10] += 1
     monkeypatch.setattr(darcais, "_ladder", table)
     code, out, _ = run(capsys, "verify", "--suite", "identities", "--n-max", "20")
@@ -426,7 +438,7 @@ def test_q_table_size_above_limit_exits_2(capsys, monkeypatch, argv):
     assert code == EXIT_ABORTED
     assert out == ""
     assert f"above the Q table limit {darcais.TABLE_LIMIT}" in err
-    assert table.rows == [] and table.ints == [] and table.powers.nums == []
+    assert table.rows == [] and table.ints == [] and table.powers.rows == [[], []]
 
 
 @pytest.mark.parametrize("argv, top", [

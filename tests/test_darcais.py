@@ -311,22 +311,24 @@ def test_table_growth_order_does_not_matter(monkeypatch):
 
 
 def test_shared_rows_grow_with_the_table(monkeypatch):
-    # every row of the table's one ladder reaches exactly the table's n_max,
-    # so cross requests up to it extend nothing
+    # the table's one ladder holds exactly the rows f^0..f^n_max, each to the
+    # table's n_max, so cross requests up to it extend nothing
     table = _QTable()
     monkeypatch.setattr(darcais, "_ladder", table)
+    q_table_via_recursion(22)
+    assert [len(row) for row in table.powers.rows] == [23] * 23
     q_table_via_recursion(60)
-    assert [len(row) for row in table.powers.rows] == [61] * (TABLE_LIMIT + 1)
+    assert [len(row) for row in table.powers.rows] == [61] * 61
     ladder = [list(row) for row in table.powers.rows]
     for a, b, n in ((2, 3, 10), (0, 1, 60), (5, 8, 33), (0, 3, 3), (40, 41, 59)):
         assert a_cross_recursion(a, b, n) == q_via_recursion(n).coeffs[b]
     assert table.n_max == 60 and table.powers.rows == ladder
     q_table_via_recursion(90)
-    assert [len(row) for row in table.powers.rows] == [91] * (TABLE_LIMIT + 1)
+    assert [len(row) for row in table.powers.rows] == [91] * 91
 
 
 def test_tall_request_leaves_the_shared_ladder_alone(monkeypatch):
-    # every power up to TABLE_LIMIT is a row of the table's one ladder: a tall
+    # every power up to the table's n_max is a row of its one ladder: a tall
     # request reads it, and neither builds a ladder of its own nor moves a row
     table = _QTable()
     monkeypatch.setattr(darcais, "_ladder", table)
@@ -351,7 +353,7 @@ def test_table_limit_refused_before_allocating():
     table = _QTable()
     with pytest.raises(ValueError, match=f"n={TABLE_LIMIT + 1} is above the Q table limit {TABLE_LIMIT}"):
         table.ensure(TABLE_LIMIT + 1)
-    assert table.n_max == -1 and table.ints == [] and table.powers.nums == []
+    assert table.n_max == -1 and table.ints == [] and table.powers.rows == [[], []]
     for call in (
         lambda: q_via_recursion(5000),
         lambda: q_table_via_recursion(TABLE_LIMIT + 1),
@@ -414,8 +416,8 @@ class FallingFactorialTable:
         """A_{n,b} = a! sum_i perm(n, i) R_{n-i}[a] c_{i,j} D_j / (b! n! D_j), j = b - a."""
         self.ensure(n)
         j = b - a
-        powers = _PowerRow(j, "sigma-minus-one")
-        powers.extend(n - a, free=True)
+        powers = _PowerRow("sigma-minus-one")
+        powers.extend(n - a, j, free=True)
         col_a, c = self.cols[a], powers.rows[j]
         acc = 0  # sum_{t >= i} perm(n, t) / perm(n, i) R_{n-t}[a] c[t], by Horner's rule
         for i in range(n - a, j - 1, -1):

@@ -211,6 +211,19 @@ def test_custom_series_unknown_rule():
         custom_series("no-such-rule", 5)
 
 
+def test_custom_series_refuses_a_rule_of_another_order():
+    # a builder that ignores its order: read as order 2, its series would fail the
+    # exact scan inside its kernel and the float scan in a numpy broadcast
+    register_series_rule("fixed-order-test", lambda n: RationalSeries([0, 1, 1]))
+    assert custom_series("fixed-order-test", 2).coeffs == (0, 1, 1)
+    refusal = "series rule 'fixed-order-test' built order 2 when asked for order"
+    with pytest.raises(ValueError, match=f"{refusal} 10$"):
+        custom_series("fixed-order-test", 10)
+    for mode, order in (("exact", 64), ("adaptive-float", 300)):
+        with pytest.raises(ValueError, match=f"{refusal} {order}$"):
+            scan_conjecture(1, 300, mode, rule="fixed-order-test")
+
+
 def test_series_rule_registry_extension(monkeypatch):
     register_series_rule("ones-test", lambda n: RationalSeries([0] + [1] * n))
     assert custom_series("ones-test", 3).coeffs == (0, 1, 1, 1)
@@ -635,8 +648,8 @@ BLOCKS_ORDER = 3 * _BLOCK + 7  # spans four blocks; order + 1 is no multiple of 
 @pytest.fixture(scope="module")
 def sigma_thirds_rows():
     """One exact ladder of (sigma/3)^k, k = 0..8, to BLOCKS_ORDER; k = 8 takes three squares."""
-    ladder = _PowerRow(8, "sigma-thirds-test")
-    ladder.extend(BLOCKS_ORDER)
+    ladder = _PowerRow("sigma-thirds-test")
+    ladder.extend(BLOCKS_ORDER, 8)
     return ladder
 
 
