@@ -22,8 +22,9 @@ violate log-concavity (c_n^2 < c_{n-1} c_{n+1}).  Two modes:
   every n below it), and doubles on until a violation is found or n_max
   is reached; each pass only appends and checks the new coefficients, on
   their logs first.  The same kernel serves the exact fallback below, the
-  coefficients c_{n,k}, the partial sums and the truncated surrogates, each
-  of which builds its own one-shot ladder and frees it as it goes.
+  coefficients c_{n,k}, the partial sums and the truncated surrogates: each
+  builds its own one-shot ladder, reads the row `extend(..., free=True)`
+  returns, and frees the rows below it as it goes.
 * adaptive-float: ball-arithmetic enclosures of f^k (binary powering) at 53
   bits over the whole range.  Their radii count the roundings of the blocked
   convolution kernel, not of one long sum, so float64 alone decides the
@@ -309,6 +310,7 @@ def scan_conjecture(
     if mode not in ("exact", "adaptive-float"):
         raise ValueError(f"unknown mode {mode!r}")
     start = time.perf_counter()
+    last_n, certified = n_max - 1, True  # a row without a violation counts the n up to last_n
 
     if mode == "exact":
         lo, order = 2, min(max(64, k + 2), n_max)
@@ -317,64 +319,44 @@ def scan_conjecture(
                 order = _build_order(rule, k, order, n_max)
             c = _shared_power(rule, k, order)
             order = min(len(c) - 1, n_max)
-            n0 = _first_violation(c, lo, order)
-            if n0 is not None or order == n_max:
-                checked = (n0 - 1) if n0 is not None else order - 2
-                return ScanReport(
-                    k, n_max, n0, "exact", True, checked,
-                    time.perf_counter() - start, rule,
-                )
-            lo, order = order, min(2 * order, n_max)
-
-    outcome = _ball_scan(_float_base(rule, n_max, np.float64), k, n_max - 1)
-    viol, undecided = outcome.violation, outcome.undecided
-    last_n = n_max - 1  # an uncertified row counts the n up to here
-    if undecided and _ld_available():
-        # recheck only what float64 left open, at the order that reaches it;
-        # the float64 certificates stand
-        if viol is not None:
-            last_n = viol
-        top = max(undecided)
-        ld = _ball_scan(_float_base(rule, top + 1, np.longdouble), k, top)
-        if ld.violation is not None:  # below top, so below float64's violation
-            viol = ld.violation
-        still_open = set(ld.undecided)
-        undecided = [u for u in undecided if u in still_open]
-    if undecided:
-        resolvable = [u for u in undecided if u <= exact_fallback]
-        # a one-shot ladder of its own, off the shared one, so it checks the exact scans independently
-        c = _PowerRow(rule).extend(max(resolvable) + 1, k, free=True) if resolvable else []
-        for u in undecided:
-            if u > exact_fallback:
-                # cannot certify triple u; the first-violation claim is void
-                return ScanReport(
-                    k, n_max, None, "adaptive-float", False,
-                    last_n - 1 - len([x for x in undecided if x >= u]),
-                    time.perf_counter() - start, rule,
-                )
-            if c[u] * c[u] < c[u - 1] * c[u + 1]:
-                viol = u
+            viol = _first_violation(c, lo, order)
+            if viol is not None or order == n_max:
                 break
+            lo, order = order, min(2 * order, n_max)
+    else:
+        outcome = _ball_scan(_float_base(rule, n_max, np.float64), k, n_max - 1)
+        viol, undecided = outcome.violation, outcome.undecided
+        if undecided and _ld_available():
+            # recheck only what float64 left open, at the order that reaches it;
+            # the float64 certificates stand
+            if viol is not None:
+                last_n = viol
+            top = max(undecided)
+            ld = _ball_scan(_float_base(rule, top + 1, np.longdouble), k, top)
+            if ld.violation is not None:  # below top, so below float64's violation
+                viol = ld.violation
+            still_open = set(ld.undecided)
+            undecided = [u for u in undecided if u in still_open]
+        if undecided:
+            resolvable = [u for u in undecided if u <= exact_fallback]
+            # a one-shot ladder of its own, off the shared one, so it checks the exact scans independently
+            c = _PowerRow(rule).extend(max(resolvable) + 1, k, free=True) if resolvable else []
+            for u in undecided:
+                if u > exact_fallback:
+                    # cannot certify triple u; the first-violation claim is void
+                    viol, certified = None, False
+                    last_n -= len([x for x in undecided if x >= u])
+                    break
+                if c[u] * c[u] < c[u - 1] * c[u + 1]:
+                    viol = u
+                    break
     checked = (viol - 1) if viol is not None else last_n - 1
-    return ScanReport(
-        k, n_max, viol, "adaptive-float", True, checked,
-        time.perf_counter() - start, rule,
-    )
+    return ScanReport(k, n_max, viol, mode, certified, checked, time.perf_counter() - start, rule)
 
 
 # ---------------------------------------------------------------------------
 # Exact coefficient rows of f^k, rebuilt per call
 # ---------------------------------------------------------------------------
-
-def _sigma_power(k: int, n: int) -> _PowerRow:
-    """A one-shot sigma_{-1} ladder to q^n whose row k is f^k, for k <= n.
-
-    The ladder is cheap enough to rebuild per call, so nothing is cached.
-    """
-    row = _PowerRow("sigma-minus-one")
-    row.extend(n, k, free=True)
-    return row
-
 
 def coefficient_c(n: int, k: int) -> Fraction:
     """c_{n,k}: the coefficient of q^n in f(q)^k, exactly."""
@@ -382,9 +364,9 @@ def coefficient_c(n: int, k: int) -> Fraction:
         raise ValueError("indices must be non-negative")
     if n < k:  # f starts at q^1
         return Fraction(0)
-    row = _sigma_power(k, n)
-    num = row.rows[k][n]
-    return Fraction(num, row.denoms[k]) if num else Fraction(0)
+    ladder = _PowerRow("sigma-minus-one")
+    num = ladder.extend(n, k, free=True)[n]
+    return Fraction(num, ladder.denoms[k]) if num else Fraction(0)
 
 
 # ---------------------------------------------------------------------------
@@ -406,9 +388,10 @@ def partial_sum_ratio(k: int, n: int) -> RatioReport:
         raise ValueError("k must be >= 1")
     if n < max(2, k * k):
         raise ValueError(f"requires n >= max(2, k^2) = {max(2, k * k)}")
-    row = _sigma_power(k - 1, n)
-    prefix = list(accumulate(row.base[: n + 1]))
-    lhs = Fraction(sum(map(mul, row.rows[k - 1], reversed(prefix))), row.denoms[k - 1] * row.denom)
+    ladder = _PowerRow("sigma-minus-one")
+    c = ladder.extend(n, k - 1, free=True)
+    prefix = list(accumulate(ladder.base[: n + 1]))
+    lhs = Fraction(sum(map(mul, c, reversed(prefix))), ladder.denoms[k - 1] * ladder.denom)
     lo6, hi6 = pi2_over_6_bounds()
     binom = math.comb(n, k)
     rhs_lo = lo6**k * binom
@@ -476,8 +459,9 @@ def surrogate_truncated_sequence(k: int, n_lo: int, n_hi: int) -> list[Fraction]
         raise ValueError("requires n_lo >= 27 and k >= 0")
     if k > n_hi - 26:  # c_{i,k} = 0 for every i <= n_hi - 26
         return [Fraction(0)] * (n_hi - n_lo + 1)
-    row = _sigma_power(k, n_hi - 26)
-    c, denom = row.rows[k], row.denoms[k] * math.factorial(k)
+    ladder = _PowerRow("sigma-minus-one")
+    c = ladder.extend(n_hi - 26, k, free=True)
+    denom = ladder.denoms[k] * math.factorial(k)
     return [
         Fraction(sum(partition_count(n - i) * c[i] for i in range(n - 25)), denom)
         for n in range(n_lo, n_hi + 1)

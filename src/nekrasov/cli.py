@@ -338,9 +338,9 @@ def cmd_series_dump(args: argparse.Namespace) -> int:
 
 def cmd_stirling_dump(args: argparse.Namespace) -> int:
     n_max = args.n_max
-    table = stirling.StirlingTable(n_max)
-    rows = ((n, m, v) for n in range(n_max + 1) for m, v in enumerate(table.row(n)))
-    _write(args, lambda: {"n_max": n_max, "rows": [table.row(n) for n in range(n_max + 1)]},
+    table = stirling.stirling_rows(n_max)
+    rows = ((n, m, v) for n, row in enumerate(table) for m, v in enumerate(row))
+    _write(args, lambda: {"n_max": n_max, "rows": table},
            ("n", "m", "value"), rows, lambda: (f"{n} {m} {v}" for n, m, v in rows))
     return EXIT_OK
 

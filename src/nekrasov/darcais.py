@@ -208,7 +208,8 @@ class _QTable:
     (one pass over all columns per pentagonal number) and A[n][k] = b_n[k] / (k! D_k).
     Growing to N' raises the ladder to power and order N' (rows f^0..f^N') and
     moves each stored column k to D_k(N') as its rows move.  Row n also stores
-    its QPolynomial Q_n, the object warm reads return.  The Heim-Neuhauser
+    its QPolynomial Q_n, the object warm reads return.  A growth that raises
+    empties the table, so the next read rebuilds it.  The Heim-Neuhauser
     recurrence is the tests' oracle.  Unlocked: the package runs single-threaded.
     """
 
@@ -228,30 +229,34 @@ class _QTable:
             return
         if n_max > TABLE_LIMIT:
             raise ValueError(f"n={n_max} is above the Q table limit {TABLE_LIMIT}")
-        powers, ints = self.powers, self.ints
-        powers.extend(n_max, n_max)
-        denoms = powers.denoms[: n_max + 1]  # at n_max = 0 the ladder still holds f
-        for k, old in enumerate(self.denoms):  # column k moves to the new D_k
-            if old != denoms[k]:
-                r = math.gcd(denoms[k], old)
-                for n, b in enumerate(ints[k:], k):
-                    b[k], rem = divmod(b[k] * (denoms[k] // r), old // r)
-                    if rem:
-                        raise ArithmeticError(f"column {k} of the Q table is not an integer at q^{n}")
-        self.denoms = denoms
-        # (m, sign) for the generalized pentagonal numbers m = j(3j -+ 1)/2 <= n_max, ascending
-        steps = [(m, add if j % 2 else sub) for j in range(1, math.isqrt(n_max) + 2)
-                 for m in (j * (3 * j - 1) // 2, j * (3 * j + 1) // 2) if m <= n_max]
-        scales = [math.factorial(k) * d for k, d in enumerate(denoms)]
-        for n in range(self.n_max + 1, n_max + 1):
-            b = [row[n] for row in powers.rows[: n + 1]]
-            for m, sign in steps:
-                if m > n:
-                    break
-                prev = ints[n - m]
-                b[: len(prev)] = map(sign, b, prev)
-            ints.append(b)
-            self.rows.append(QPolynomial(n, tuple(map(Fraction, b, scales))))
+        try:
+            powers, ints = self.powers, self.ints
+            powers.extend(n_max, n_max)
+            denoms = powers.denoms[: n_max + 1]  # at n_max = 0 the ladder still holds f
+            for k, old in enumerate(self.denoms):  # column k moves to the new D_k
+                if old != denoms[k]:
+                    r = math.gcd(denoms[k], old)
+                    for n, b in enumerate(ints[k:], k):
+                        b[k], rem = divmod(b[k] * (denoms[k] // r), old // r)
+                        if rem:
+                            raise ArithmeticError(f"column {k} of the Q table is not an integer at q^{n}")
+            self.denoms = denoms
+            # (m, sign) for the generalized pentagonal numbers m = j(3j -+ 1)/2 <= n_max, ascending
+            steps = [(m, add if j % 2 else sub) for j in range(1, math.isqrt(n_max) + 2)
+                     for m in (j * (3 * j - 1) // 2, j * (3 * j + 1) // 2) if m <= n_max]
+            scales = [math.factorial(k) * d for k, d in enumerate(denoms)]
+            for n in range(self.n_max + 1, n_max + 1):
+                b = [row[n] for row in powers.rows[: n + 1]]
+                for m, sign in steps:
+                    if m > n:
+                        break
+                    prev = ints[n - m]
+                    b[: len(prev)] = map(sign, b, prev)
+                ints.append(b)
+                self.rows.append(QPolynomial(n, tuple(map(Fraction, b, scales))))
+        except BaseException:  # a growth stopped part-way leaves misaligned or half-moved rows
+            self.__init__()
+            raise
 
 
 _ladder = _QTable()

@@ -528,6 +528,9 @@ class _PowerRow:
         base, denom, denoms = self.base, self.denom, self.denoms
         rows[0] += [int(n == 0) for n in range(len(rows[0]), order + 1)]
         rows[1] = base
+        self.freed = free
+        if zero:  # before the kernel: a refused raise builds nothing
+            return [0] * (order + 1)
         weights = [i * c for i, c in enumerate(base[: order + 1])]
         g = math.gcd(*weights) or 1
         toeplitz = _ExactToeplitz([w // g for w in weights])
@@ -551,9 +554,7 @@ class _PowerRow:
                 if rem:
                     raise ArithmeticError(f"row {j} of the power ladder is not an integer at q^{n}")
                 row.append(c)
-        if free:
-            self.freed = True
-        return [0] * (order + 1) if zero else rows[power]
+        return rows[power]
 
 
 def _divide_exactly(num: int, den: int, j: int, n: int) -> int:

@@ -14,7 +14,7 @@ from fractions import Fraction
 from typing import Iterable
 
 
-# The largest n_max a StirlingTable accepts.  Rows hold n + 1 integers of up to log2(n!)
+# The largest n_max the table accepts.  Rows hold n + 1 integers of up to log2(n!)
 # bits, so the table grows like N^3.3: about 30 MB at N = 500, some 2.5 GB at 2000.
 TABLE_LIMIT = 500
 
@@ -23,51 +23,33 @@ class PreconditionError(ValueError):
     """A check was called outside its mathematical precondition."""
 
 
-class StirlingTable:
-    """Rows 0..n_max of unsigned first-kind Stirling numbers."""
-
-    def __init__(self, n_max: int):
-        self.rows: list[list[int]] = [[1]]
-        self.extend(n_max)
-
-    @property
-    def n_max(self) -> int:
-        return len(self.rows) - 1
-
-    def extend(self, n_max: int) -> None:
-        if not 0 <= n_max <= TABLE_LIMIT:
-            raise ValueError(f"n_max={n_max} is outside the Stirling range 0..{TABLE_LIMIT}")
-        while self.n_max < n_max:
-            n = self.n_max
-            prev = self.rows[n]
-            row = [0] * (n + 2)
-            for m in range(1, n + 2):
-                row[m] = (prev[m - 1] if m - 1 <= n else 0) + n * (prev[m] if m <= n else 0)
-            self.rows.append(row)
-
-    def value(self, n: int, m: int) -> int:
-        if n < 0 or m < 0 or m > n or n > self.n_max:
-            raise ValueError(f"indices out of range: [{n} {m}] with n_max={self.n_max}")
-        return self.rows[n][m]
-
-    def row(self, n: int) -> list[int]:
-        if n < 0 or n > self.n_max:
-            raise ValueError(f"row {n} out of range")
-        return list(self.rows[n])
+# Rows 0.. of the shared table, _rows[n][m] = [n m]: append-only and unlocked,
+# since the package runs single-threaded (scan --jobs uses processes).
+_rows: list[list[int]] = [[1]]
 
 
-# Shared memo tables: append-only and unlocked, since the package runs
-# single-threaded (scan --jobs uses processes).
-_table = StirlingTable(0)
+def _grow(n_max: int) -> None:
+    """Append rows to _rows until it holds 0..n_max; an n_max outside 0..TABLE_LIMIT raises ValueError."""
+    if not 0 <= n_max <= TABLE_LIMIT:
+        raise ValueError(f"n_max={n_max} is outside the Stirling range 0..{TABLE_LIMIT}")
+    while len(_rows) <= n_max:  # [n+1 m] = [n m-1] + n [n m]
+        n, prev = len(_rows) - 1, _rows[-1]
+        _rows.append([a + n * b for a, b in zip([0] + prev, prev + [0])])
+
+
+def stirling_rows(n_max: int) -> list[list[int]]:
+    """Rows 0..n_max of unsigned first-kind Stirling numbers, [n 0..n] each, as copies."""
+    _grow(n_max)
+    return [list(row) for row in _rows[: n_max + 1]]
 
 
 def stirling_unsigned(n: int, m: int) -> int:
-    """[n m], growing a shared table on demand."""
+    """[n m], growing the shared table on demand."""
     if n < 0 or m < 0 or m > n:
         raise ValueError(f"invalid Stirling indices [{n} {m}]")
-    if n > _table.n_max:
-        _table.extend(n)
-    return _table.rows[n][m]
+    if n >= len(_rows):
+        _grow(n)
+    return _rows[n][m]
 
 
 _h_memo: list[Fraction] = [Fraction(0)]
@@ -141,9 +123,9 @@ def stirling_ratio_decay_check(n: int, m: int, t: int) -> bool:
         raise ValueError("requires t >= 0, m >= 1 and m + t <= n")
     if m < ratio_decay_start(n):
         raise PreconditionError(f"m={m} is below 2*H_{n}+1")
-    if len(_table.rows) <= n + 1:
-        _table.extend(n + 1)
-    row = _table.rows[n + 1]
+    if len(_rows) <= n + 1:
+        _grow(n + 1)
+    row = _rows[n + 1]
     return (1 << t) * row[m + t + 1] <= row[m + 1]
 
 
@@ -171,14 +153,14 @@ def _product(key: tuple[int, ...]) -> list[int]:
     """
     coeffs = _products.get(key)
     if coeffs is None:
-        _table.extend(key[-1] + 1)
+        _grow(key[-1] + 1)
         cut = len(key) - 1
         while key[:cut] not in _products:
             cut -= 1
         coeffs = _products[key[:cut]]
         for end in range(cut + 1, len(key) + 1):
             k = key[end - 1]
-            row = _table.rows[k + 1][1:]
+            row = _rows[k + 1][1:]
             new = [0] * (len(coeffs) + k)
             for i, a in enumerate(coeffs):
                 for l, b in enumerate(row):

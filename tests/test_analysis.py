@@ -758,6 +758,18 @@ def test_refused_raise_stores_no_row_above_f():
     assert (one_shot.k, len(one_shot.rows), one_shot.freed) == (1, 2, True)
 
 
+def test_refused_raise_on_a_held_order_builds_no_kernel(monkeypatch):
+    # f^65 is 0 to q^64: at an order the ladder holds, the zeros come before
+    # the rule's weights and Toeplitz kernel, and no row or D_j moves
+    row = _PowerRow("sigma-minus-one")
+    row.extend(64, 8)
+    rows, denoms = [list(r) for r in row.rows], list(row.denoms)
+    monkeypatch.setattr(series, "_ExactToeplitz", lambda *args: pytest.fail("built a Toeplitz kernel"))
+    assert row.extend(64, 65) == [0] * 65
+    assert row.extend(40, 600) == [0] * 41
+    assert (row.k, row.rows, row.denoms) == (8, rows, denoms)
+
+
 @pytest.mark.parametrize("short", [2, 3, 467])
 def test_ladder_refuses_a_row_denominator_one_prime_short(short):
     # at order 512 D_8 is row 8's exact common denominator, so each of its primes is needed

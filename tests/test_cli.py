@@ -340,9 +340,9 @@ def test_verify_ratio_decay_checks_the_fraction_precondition_pairs(monkeypatch):
 def test_verify_ratio_decay_fails_on_one_wrong_table_entry(monkeypatch):
     # [21 15] raised to [21 10] breaks 2^5 [21 15] <= [21 10], the triple
     # (n, m, t) = (20, 9, 5); m = 9 is the first m the check takes at n = 20
-    table = stirling.StirlingTable(41)
-    table.rows[21][15] = table.rows[21][10]
-    monkeypatch.setattr(stirling, "_table", table)
+    rows = stirling.stirling_rows(41)
+    rows[21][15] = rows[21][10]
+    monkeypatch.setattr(stirling, "_rows", rows)
     assert stirling.ratio_decay_start(20) == 9
     assert not stirling.stirling_ratio_decay_check(20, 9, 5)
     assert stirling.stirling_ratio_decay_check(20, 9, 4)
@@ -391,6 +391,25 @@ def test_stirling_dump_csv(capsys):
                        "--format", "csv")
     assert code == EXIT_OK
     assert out.strip().splitlines()[0] == "n,m,value"
+
+
+@pytest.mark.parametrize("n_max", [30, 60])
+def test_stirling_dump_after_verify_matches_a_cold_dump(capsys, monkeypatch, n_max):
+    # verify --suite stirling grows the shared table to row 41; a dump then prints rows 0..n_max only
+    monkeypatch.setattr(stirling, "_rows", [[1]])
+    cold = [run(capsys, "stirling-dump", "--n-max", str(n_max), "--format", fmt) for fmt in FORMATS]
+    monkeypatch.setattr(stirling, "_rows", [[1]])
+    assert run(capsys, "verify", "--suite", "stirling")[0] == EXIT_OK
+    assert len(stirling._rows) == 42
+    assert [run(capsys, "stirling-dump", "--n-max", str(n_max), "--format", fmt) for fmt in FORMATS] == cold
+
+
+@pytest.mark.parametrize("n_max", [-1, stirling.TABLE_LIMIT + 1])
+def test_stirling_dump_out_of_range_names_the_range(capsys, n_max):
+    held = len(stirling._rows)
+    assert run(capsys, "stirling-dump", "--n-max", str(n_max)) == (
+        EXIT_ABORTED, "", f"nekrasov: n_max={n_max} is outside the Stirling range 0..{stirling.TABLE_LIMIT}\n")
+    assert len(stirling._rows) == held
 
 
 @pytest.mark.parametrize("argv", [

@@ -376,6 +376,32 @@ def test_refusal_leaves_a_grown_table_alone():
     assert table.ints == ints and table.powers.rows == ladder
 
 
+@pytest.mark.parametrize("owner, name", [(darcais, "QPolynomial"), (_PowerRow, "_denominators")],
+                         ids=["QPolynomial", "_denominators"])
+def test_a_growth_that_raises_leaves_no_stale_row(monkeypatch, owner, name):
+    # a table at 30 fails once on its way to 60: while row 31 is appended (after
+    # b_31 is stored), or before the ladder's new D_k exist (after k is raised);
+    # the next growth must read as a fresh table's
+    real, calls = getattr(owner, name), []
+
+    def flaky(*args):
+        calls.append(args)
+        if len(calls) == 1:
+            raise MemoryError
+        return real(*args)
+
+    table = _QTable()
+    table.ensure(30)
+    monkeypatch.setattr(owner, name, flaky)
+    with pytest.raises(MemoryError):
+        table.ensure(60)
+    monkeypatch.undo()
+    fresh = _QTable()
+    fresh.ensure(60)
+    table.ensure(60)
+    assert (table.rows, table.ints, table.denoms) == (fresh.rows, fresh.ints, fresh.denoms)
+
+
 def test_table_refuses_a_column_rescale_that_does_not_divide():
     # a stored D_3 with the prime 10007, which no D_3 holds, must be divided out of
     # column 3 on the way to n = 11, and b_3[3] = D_3 is no multiple of it

@@ -13,7 +13,6 @@ from nekrasov.partitions import enumerate_partitions, multiplicities
 from nekrasov.stirling import (
     TABLE_LIMIT,
     PreconditionError,
-    StirlingTable,
     constrained_stirling_sum,
     DescentResult,
     ModeResult,
@@ -27,6 +26,7 @@ from nekrasov.stirling import (
     sibuya_check,
     sibuya_holds,
     stirling_ratio_decay_check,
+    stirling_rows,
     stirling_unsigned,
 )
 
@@ -128,13 +128,20 @@ def test_row_sums():
 
 
 def test_stirling_table_type():
-    table = StirlingTable(6)
-    assert table.n_max == 6
-    assert table.value(4, 2) == 11
-    with pytest.raises(ValueError):
-        table.value(7, 1)
-    table.extend(8)
-    assert table.value(8, 8) == 1
+    rows = stirling_rows(6)
+    assert [len(row) for row in rows] == list(range(1, 8))
+    assert rows[4][2] == 11
+    assert stirling_rows(8)[8][8] == 1
+
+
+def test_stirling_rows_are_copies():
+    # changing what stirling_rows returns changes no later read of the shared table
+    rows = stirling_rows(5)
+    rows[4][2] = 0
+    rows[5].append(7)
+    rows.append([1])
+    assert stirling_unsigned(4, 2) == 11
+    assert stirling_rows(5) == [[1], [0, 1], [0, 1, 1], [0, 2, 3, 1], [0, 6, 11, 6, 1], [0, 24, 50, 35, 10, 1]]
 
 
 def test_harmonic():
@@ -344,16 +351,13 @@ def test_q_coeffs_log_concave_small():
 
 
 def test_table_size_limits():
-    with pytest.raises(ValueError):
-        StirlingTable(-1)
-    with pytest.raises(ValueError):
-        StirlingTable(TABLE_LIMIT + 1)
-    table = StirlingTable(3)
-    with pytest.raises(ValueError):
-        table.extend(TABLE_LIMIT + 1)
-    assert table.n_max == 3
+    held = len(stirling._rows)
+    for n_max in (-1, TABLE_LIMIT + 1):
+        with pytest.raises(ValueError, match=f"n_max={n_max} is outside the Stirling range 0..{TABLE_LIMIT}"):
+            stirling_rows(n_max)
     with pytest.raises(ValueError):
         stirling_unsigned(TABLE_LIMIT + 1, 1)
+    assert len(stirling._rows) == held  # a refusal grows no row
 
 
 def test_sliced_kernels_match_per_entry_kernels():
