@@ -309,6 +309,8 @@ def scan_conjecture(
         raise ValueError(f"n_max={n_max} is above the scan limit {SCAN_LIMIT}")
     if mode not in ("exact", "adaptive-float"):
         raise ValueError(f"unknown mode {mode!r}")
+    if exact_fallback < 0:
+        raise ValueError(f"exact_fallback={exact_fallback} is negative")
     start = time.perf_counter()
     last_n, certified = n_max - 1, True  # a row without a violation counts the n up to last_n
 

@@ -9,10 +9,7 @@ property, 2 = uncertified or aborted computation.
 from __future__ import annotations
 
 import argparse
-import collections
-import concurrent.futures
 import errno
-import functools
 import json
 import math
 import os
@@ -76,8 +73,15 @@ def _write(args: argparse.Namespace, payload: Callable[[], object], header: Sequ
 def cmd_qpoly(args: argparse.Namespace) -> int:
     ns = parse_range(args.n)
     methods = darcais.method_names() if args.method == "all" else [args.method]
-    if "recursion" in methods:  # one table build, refused above its limit before any row
-        darcais.q_table_via_recursion(ns[-1])
+    top = ns[-1]  # both limits are checked before any row is built
+    if "recursion" in methods and top > darcais.TABLE_LIMIT:
+        raise ValueError(f"n={top} is above the Q table limit {darcais.TABLE_LIMIT}")
+    if methods != ["recursion"]:
+        cap = darcais.enumeration_limit()
+        if top > cap:  # refused at the first n the enumerating methods would refuse
+            raise darcais.EnumerationLimitError(max(ns[0], cap + 1), cap)
+    if "recursion" in methods:  # one table build
+        darcais.q_table_via_recursion(top)
     blocks = {m: [darcais.q_polynomial(n, m) for n in ns] for m in methods}
     agree = all(
         blocks[m][i].coeffs == blocks[methods[0]][i].coeffs
@@ -115,25 +119,11 @@ def cmd_qpoly(args: argparse.Namespace) -> int:
 # ---------------------------------------------------------------------------
 
 def cmd_scan(args: argparse.Namespace) -> int:
-    if args.jobs < 1:
-        raise ValueError("jobs must be >= 1")
-    ks = parse_range(args.k)
-    scan = functools.partial(analysis.scan_conjecture, n_max=args.n_max, mode=args.mode,
-                             rule=args.rule, exact_fallback=args.exact_fallback)
     reports = []
-    if args.jobs > 1 and len(ks) > 1:
-        # at most `jobs` scans in flight: a refused k ends a long range after `jobs` submissions
-        pending = collections.deque()
-        with concurrent.futures.ProcessPoolExecutor(max_workers=args.jobs) as pool:
-            for k in ks:
-                pending.append(pool.submit(scan, k))
-                if len(pending) == args.jobs:
-                    reports.append(pending.popleft().result())
-            reports.extend(f.result() for f in pending)
-    else:
-        for k in ks:
-            reports.append(scan(k))
-            print(f"scan: k={k} done in {int(reports[-1].elapsed * 1000)} ms", file=sys.stderr)
+    for k in parse_range(args.k):
+        reports.append(analysis.scan_conjecture(k, n_max=args.n_max, mode=args.mode, rule=args.rule,
+                                                exact_fallback=args.exact_fallback))
+        print(f"scan: k={k} done in {int(reports[-1].elapsed * 1000)} ms", file=sys.stderr)
     for r in reports:
         if r.certified and r.n0 is None:
             print(f"scan: k={r.k} has no violation below n_max={r.n_max}", file=sys.stderr)
@@ -377,7 +367,6 @@ def build_parser() -> argparse.ArgumentParser:
     sc.add_argument("--mode", choices=("exact", "adaptive-float"), default="exact")
     sc.add_argument("--exact-fallback", type=int, default=analysis.DEFAULT_EXACT_FALLBACK,
                     help="largest n recomputed exactly when enclosures overlap")
-    sc.add_argument("--jobs", type=int, default=1)
 
     vf = sub.add_parser("verify", help="run named invariant suites")
     vf.add_argument("--suite", choices=SUITES, default="all")

@@ -83,7 +83,7 @@ def enumerate_partitions(n: int) -> Iterator[Partition]:
 
 
 # Memo table for p(n): append-only and unlocked, since the package runs
-# single-threaded (scan --jobs uses processes).
+# single-threaded.
 _p_memo: list[int] = [1]
 
 

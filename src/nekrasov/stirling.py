@@ -24,7 +24,7 @@ class PreconditionError(ValueError):
 
 
 # Rows 0.. of the shared table, _rows[n][m] = [n m]: append-only and unlocked,
-# since the package runs single-threaded (scan --jobs uses processes).
+# since the package runs single-threaded.
 _rows: list[list[int]] = [[1]]
 
 

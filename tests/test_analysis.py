@@ -199,6 +199,13 @@ def test_scan_exact_fallback_decides_ties():
     assert exact.certified and exact.n0 is None
 
 
+def test_scan_refuses_a_negative_exact_fallback():
+    # it used to act as 0: an enclosure overlap left the row uncertified
+    for mode in ("exact", "adaptive-float"):
+        with pytest.raises(ValueError, match="exact_fallback=-5 is negative"):
+            scan_conjecture(5, mode=mode, exact_fallback=-5)
+
+
 def test_coefficient_c_values():
     assert coefficient_c(3, 2) == 3
     assert coefficient_c(7, 2) == Fraction(184, 15)

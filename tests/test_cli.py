@@ -1,11 +1,13 @@
 """CLI command behavior: outputs, formats, exit codes, determinism."""
 
 import argparse
-import concurrent.futures
 import dataclasses
 import hashlib
 import json
+import os
 import re
+import subprocess
+import sys
 from fractions import Fraction
 
 import pytest
@@ -176,10 +178,7 @@ def test_scan_determinism_and_jobs(capsys):
     assert code == EXIT_OK
     code, out2, _ = run(capsys, "scan", "--k", "2..4", "--mode", "exact")
     assert code == EXIT_OK
-    code, out3, _ = run(capsys, "scan", "--k", "2..4", "--mode", "exact",
-                        "--jobs", "2")
-    assert code == EXIT_OK
-    assert _mask_elapsed(out1) == _mask_elapsed(out2) == _mask_elapsed(out3)
+    assert _mask_elapsed(out1) == _mask_elapsed(out2)
 
 
 def test_scan_out_file(tmp_path, capsys):
@@ -193,7 +192,7 @@ def test_scan_out_file(tmp_path, capsys):
 
 
 @pytest.mark.parametrize("argv", [
-    ("qpoly", "--n", "1"), ("scan", "--k", "2..3", "--jobs", "2"),
+    ("qpoly", "--n", "1"), ("scan", "--k", "2..3"),
 ], ids=lambda argv: argv[0])
 @pytest.mark.parametrize("where", ["missing-directory", "directory"])
 def test_unwritable_out_exits_2(tmp_path, capsys, monkeypatch, argv, where):
@@ -445,10 +444,7 @@ def test_q_table_size_above_limit_exits_2(capsys, monkeypatch, argv):
     def ran(*args):
         raise AssertionError("the size check came too late")
 
-    tripwires = ["q_polynomial", "coefficient_series"]
-    if argv[0] == "verify":  # qpoly's refusal comes from q_table_via_recursion itself
-        tripwires.append("q_table_via_recursion")
-    for name in tripwires:
+    for name in ("q_polynomial", "coefficient_series", "q_table_via_recursion"):
         monkeypatch.setattr(darcais, name, ran)
     monkeypatch.setattr(series, "partition_series", ran)
     table = darcais._QTable()
@@ -458,6 +454,21 @@ def test_q_table_size_above_limit_exits_2(capsys, monkeypatch, argv):
     assert out == ""
     assert f"above the Q table limit {darcais.TABLE_LIMIT}" in err
     assert table.rows == [] and table.ints == [] and table.powers.rows == [[], []]
+
+
+@pytest.mark.parametrize("method", ["all", "hooks"])
+def test_qpoly_range_past_enumeration_limit_exits_2_before_any_row(capsys, monkeypatch, method):
+    # a range that starts below the limit is refused before its enumerable rows are built
+    def ran(*args):
+        raise AssertionError("a row was built before the refusal")
+
+    monkeypatch.setattr(darcais, "q_table_via_recursion", ran)
+    monkeypatch.setattr(darcais, "q_polynomial", ran)
+    monkeypatch.delenv(darcais.ENUM_LIMIT_ENV, raising=False)
+    code, out, err = run(capsys, "qpoly", "--n", "0..40", "--method", method)
+    assert code == EXIT_ABORTED
+    assert out == ""
+    assert f"n=33 exceeds the enumeration limit {darcais.DEFAULT_ENUM_LIMIT}" in err
 
 
 @pytest.mark.parametrize("argv, top", [
@@ -479,8 +490,8 @@ def test_qpoly_range_grows_the_table_once(capsys, monkeypatch, argv, top):
     assert grown == [top]
 
 
-# --precision-cap is no longer a scan flag either (see the test below); the
-# other commands keep refusing it
+# --precision-cap and --jobs are no longer scan flags either (see the tests
+# below); the other commands keep refusing them
 @pytest.mark.parametrize("flag", [
     ("--mode", "exact"), ("--precision-cap", "64"), ("--exact-fallback", "10"), ("--jobs", "1"),
 ], ids=lambda flag: flag[0])
@@ -503,54 +514,45 @@ def test_scan_refuses_the_removed_precision_cap(capsys):
     assert "unrecognized arguments: --precision-cap" in capsys.readouterr().err
 
 
-def test_scan_jobs_below_one_exits_2(capsys):
-    code, out, err = run(capsys, "scan", "--k", "2..3", "--jobs", "0")
-    assert code == EXIT_ABORTED
-    assert out == ""
-    assert "jobs must be >= 1" in err
+def test_scan_refuses_the_removed_jobs(capsys):
+    # scans run one k at a time in one process; no flag starts a pool
+    with pytest.raises(SystemExit) as exc:
+        main(["scan", "--k", "2", "--jobs", "2"])
+    assert exc.value.code == EXIT_ABORTED
+    assert "unrecognized arguments: --jobs" in capsys.readouterr().err
 
 
-def test_worker_error_with_jobs_exits_2(capsys):
-    # raised in a worker process, reported like a serial refusal
-    code, out, err = run(capsys, "scan", "--k", "2..3", "--jobs", "2", "--n-max", "2")
-    assert code == EXIT_ABORTED
-    assert out == ""
-    assert "n_max must be >= 3" in err
+def test_cli_import_loads_no_process_pool():
+    # every command pays for the CLI's imports; none of them starts or prepares a process pool
+    src = os.path.dirname(os.path.dirname(analysis.__file__))
+    code = (f"import sys; sys.path.insert(0, {src!r}); import nekrasov.cli; "
+            "print([m for m in ('concurrent.futures', 'multiprocessing') if m in sys.modules])")
+    done = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, check=True)
+    assert done.stdout.strip() == "[]"
 
 
-class _InlinePool(concurrent.futures.Executor):
-    """Runs each call at submission and counts the submissions; Executor.map submits through it."""
+def test_scan_refused_k_ends_the_range(capsys, monkeypatch):
+    # the first refused k ends the run, however long the range
+    scanned = []
+    real = analysis.scan_conjecture
 
-    submitted = 0
+    def counting(k, **kwargs):
+        scanned.append(k)
+        return real(k, **kwargs)
 
-    def __init__(self, max_workers=None):
-        self.max_workers = max_workers
-
-    def submit(self, fn, *args, **kwargs):
-        type(self).submitted += 1
-        future = concurrent.futures.Future()
-        try:
-            future.set_result(fn(*args, **kwargs))
-        except Exception as exc:
-            future.set_exception(exc)
-        return future
-
-
-def test_scan_jobs_keep_at_most_jobs_in_flight(capsys, monkeypatch):
-    # every k of the range is refused; the run must stop after the first jobs
-    # submissions, not submit the whole range first
-    monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", _InlinePool)
-    monkeypatch.setattr(_InlinePool, "submitted", 0)
-    code, out, err = run(capsys, "scan", "--k", "300000..320000", "--jobs", "3")
+    monkeypatch.setattr(analysis, "scan_conjecture", counting)
+    code, out, err = run(capsys, "scan", "--k", "300000..320000")
     assert code == EXIT_ABORTED
     assert out == ""
     assert "262144" in err
-    assert _InlinePool.submitted <= 3
-    # a range that succeeds comes back in order, as without --jobs
-    code, out_jobs, _ = run(capsys, "scan", "--k", "2..6", "--jobs", "2", "--mode", "exact")
-    assert code == EXIT_OK
-    code, out_serial, _ = run(capsys, "scan", "--k", "2..6", "--mode", "exact")
-    assert _mask_elapsed(out_jobs) == _mask_elapsed(out_serial)
+    assert scanned == [300000]
+
+
+def test_scan_negative_exact_fallback_exits_2(capsys):
+    code, out, err = run(capsys, "scan", "--k", "2", "--exact-fallback", "-5")
+    assert code == EXIT_ABORTED
+    assert out == ""
+    assert "exact_fallback=-5 is negative" in err
 
 
 def test_series_dump_negative_order_exits_2(capsys):
