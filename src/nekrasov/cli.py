@@ -74,8 +74,8 @@ def cmd_qpoly(args: argparse.Namespace) -> int:
     ns = parse_range(args.n)
     methods = darcais.method_names() if args.method == "all" else [args.method]
     top = ns[-1]  # both limits are checked before any row is built
-    if "recursion" in methods and top > darcais.TABLE_LIMIT:
-        raise ValueError(f"n={top} is above the Q table limit {darcais.TABLE_LIMIT}")
+    if "recursion" in methods:
+        darcais.check_table_limit(top)
     if methods != ["recursion"]:
         cap = darcais.enumeration_limit()
         if top > cap:  # refused at the first n the enumerating methods would refuse
@@ -296,8 +296,8 @@ def cmd_verify(args: argparse.Namespace) -> int:
         raise ValueError(f"n_max={n_max} is negative")
     if args.suite in ("stirling", "all") and n_max > stirling.TABLE_LIMIT:
         raise ValueError(f"n_max={n_max} is above the Stirling limit {stirling.TABLE_LIMIT}")
-    if args.suite != "stirling" and n_max > darcais.TABLE_LIMIT:
-        raise ValueError(f"n_max={n_max} is above the Q table limit {darcais.TABLE_LIMIT}")
+    if args.suite != "stirling":
+        darcais.check_table_limit(n_max, "n_max")
     suites = list(_SUITE_BUILDERS) if args.suite == "all" else [args.suite]
     results: list[tuple[str, str, bool]] = []
     for name in suites:

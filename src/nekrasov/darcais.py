@@ -12,13 +12,9 @@ n up to TABLE_LIMIT.  The enumeration methods have a configurable partition budg
 Every route runs in integers over known denominators (k! D_k for column k of
 the table, n! for the trivial-leg hooks and the multiplicities, (n!)^2 for
 the hooks) and makes Fractions only for the values it returns.  An
-enumeration route writes each partition's term as
-prod (z + r) / prod r over its roots r and sums the terms at z = 2^b
-(Kronecker substitution), with slots of b = bitlen(p(n) D) + n + 1 bits for
-its denominator D, which no coefficient can overflow.  It walks the
-partitions depth first, one block of equal parts (or one row of the
-diagram, for the hooks) per step, and carries the packed term of the roots
-so far down the walk: one packed multiply per walk step.
+enumeration route sums each partition's prod (z + r) / prod r at z = 2^b
+(_packed_sum) in a depth-first walk whose steps return their subtree's packed
+sums, D entering at the leaves, divided exactly by the roots each step adds.
 """
 
 from __future__ import annotations
@@ -115,37 +111,34 @@ def _block_walk(n: int, denom: int, z: int, by_gap: bool) -> int:
     """The packed sum over the partitions of n whose roots come in blocks 1..g.
 
     A depth-first walk adds one block of k equal parts j per step, the part
-    sizes ascending, and carries (D / prod r) prod (z + r) over the roots so
-    far as one integer: a step divides it by g! and multiplies it by
-    (z + 1)...(z + g).  For the multiplicities g = k.  For the trivial-leg
-    hooks g = j - i, with i the next smaller part size or 0: only the last row
-    of the block has cells of leg 0 and their hooks are 1..j - i.  A step
-    that leaves a remainder leaves more than j, so every branch ends in a
-    partition (the remainder as one part).
+    sizes ascending.  A step returns its subtree's packed sum, each child's
+    divided by g! (exactly: a partition's roots multiply to a divisor of D)
+    and multiplied by (z + 1)...(z + g).  For the multiplicities g = k.  For
+    the trivial-leg hooks g = j - i, with i the next smaller part size or 0:
+    only the last row of the block has cells of leg 0 and their hooks are
+    1..j - i.  A step that leaves a remainder leaves more than j, so every
+    branch ends in a partition (the remainder as one part).
     """
     blocks, facts = _blocks(z, n, 1)
-    total = 0
+    leaves = [denom // f * b for f, b in zip(facts, blocks)]  # a last block of g roots
 
-    def step(rem: int, prev: int, carried: int) -> None:
-        nonlocal total
-        g = rem - prev if by_gap else min(rem, 1)  # the remainder as one part (none for n = 0)
-        total += carried // facts[g] * blocks[g]
+    def step(rem: int, prev: int) -> int:
+        acc = leaves[rem - prev if by_gap else min(rem, 1)]  # the remainder as one part (none for n = 0)
         for j in range(prev + 1, rem // 2 + 1):
-            if by_gap:
-                nxt = carried // facts[j - prev] * blocks[j - prev]
+            below = 0  # by gap, every block of parts j has the roots 1..j - prev
             for k in range(1, rem // j + 1):
                 r = rem - j * k
                 if 0 < r <= j:
                     continue
-                if not by_gap:
-                    nxt = carried // facts[k] * blocks[k]
-                if r:
-                    step(r, j, nxt)
+                if by_gap:
+                    below += step(r, j) if r else denom
                 else:
-                    total += nxt
+                    acc += step(r, j) // facts[k] * blocks[k] if r else leaves[k]
+            if by_gap:
+                acc += below // facts[j - prev] * blocks[j - prev]
+        return acc
 
-    step(n, 0, denom)
-    return total
+    return step(n, 0)
 
 
 def _hook_walk(n: int, denom: int, z: int) -> int:
@@ -154,32 +147,34 @@ def _hook_walk(n: int, denom: int, z: int) -> int:
     A depth-first walk builds lambda from the bottom row up.  Over rows whose
     top row has length t and whose columns have heights col, a new top row
     of length L >= t has the hooks L - j + col[j] for j < t, then L - t, ...,
-    1, and leaves every hook below it unchanged: one step divides the carried
-    integer by the row's squared hooks and multiplies it by their factors.
+    1, and leaves every hook below it unchanged.  Each step returns the
+    packed sum over its subtree, a child's divided by the row's squared hooks
+    and multiplied by their z + h^2: exactly, as relative to the rows mu below
+    a row a term of lambda is D / prod_{lambda/mu} h^2 = (f_lambda prod_mu h)^2.
     lambda and its conjugate have the same hooks, so only the partitions with
     lambda_1 >= l(lambda) are walked, with weight 2 when lambda_1 > l(lambda).
     """
     blocks, facts = _blocks(z, n, 2)
-    total = 0
+    factors = [z + h * h for h in range(n + 1)]  # no hook exceeds n
 
-    def place(carried: int, base: list[int], L: int) -> int:
-        sq = [(L + c) ** 2 for c in base]
+    def place(packed: int, base: list[int], L: int) -> int:
+        hooks = [L + c for c in base]
         g = L - len(base)
-        return carried // (math.prod(sq) * facts[g]) * (blocks[g] * math.prod([z + w for w in sq]))
+        den = math.prod(hooks) ** 2 * facts[g]
+        return packed // den * (blocks[g] * math.prod(map(factors.__getitem__, hooks)))
 
-    def step(rem: int, depth: int, base: list[int], carried: int) -> None:
+    def step(rem: int, depth: int, base: list[int]) -> int:
         # depth rows hold n - rem cells; base[j] = col[j] - j under their top row
-        nonlocal total
         top = len(base)
+        acc = place(denom, base, rem) << (rem > depth + 1)
         # a row below the last leaves at least its own length, and depth + 2 cells for
         # a last row no shorter than lambda is tall
         for L in range(max(top, 1), min(rem // 2, rem - depth - 2) + 1):
             above = [c + 1 for c in base] + list(range(1 - top, 1 - L, -1))
-            step(rem - L, depth + 1, above, place(carried, base, L))
-        total += place(carried, base, rem) << (rem > depth + 1)
+            acc += place(step(rem - L, depth + 1, above), base, L)
+        return acc
 
-    step(n, 0, [], denom)
-    return total
+    return step(n, 0, [])
 
 
 def q_via_hooks(n: int, limit: int | None = None) -> QPolynomial:
@@ -195,6 +190,12 @@ def q_via_trivial_hooks(n: int, limit: int | None = None) -> QPolynomial:
 def q_via_multiplicities(n: int, limit: int | None = None) -> QPolynomial:
     """Q_n from prod_j binom(k_j + z, k_j) = prod_j (z+1)...(z+k_j)/k_j! over all partitions."""
     return _packed_sum(n, 1, limit, lambda n, denom, z: _block_walk(n, denom, z, by_gap=False))
+
+
+def check_table_limit(n: int, name: str = "n") -> None:
+    """Refuse an n above TABLE_LIMIT, naming it as name in the message."""
+    if n > TABLE_LIMIT:
+        raise ValueError(f"{name}={n} is above the Q table limit {TABLE_LIMIT}")
 
 
 class _QTable:
@@ -227,8 +228,7 @@ class _QTable:
         """Raise the ladder to power and order n_max, move the columns to its D_k, append b_n and A[n][.]."""
         if n_max <= self.n_max:
             return
-        if n_max > TABLE_LIMIT:
-            raise ValueError(f"n={n_max} is above the Q table limit {TABLE_LIMIT}")
+        check_table_limit(n_max)
         try:
             powers, ints = self.powers, self.ints
             powers.extend(n_max, n_max)

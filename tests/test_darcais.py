@@ -10,6 +10,7 @@ import pytest
 
 from nekrasov import darcais
 from nekrasov.darcais import (
+    DEFAULT_ENUM_LIMIT,
     TABLE_LIMIT,
     EnumerationLimitError,
     QPolynomial,
@@ -531,11 +532,38 @@ def test_packed_routes_match_integer_kernel():
         )
 
 
-@pytest.mark.parametrize("n", [28, 29, 30])
+@pytest.mark.parametrize("n", range(28, DEFAULT_ENUM_LIMIT + 1))
 def test_packed_routes_wide_slots(n):
     ref = q_via_recursion(n).coeffs
     for method in (q_via_hooks, q_via_trivial_hooks, q_via_multiplicities):
-        assert method(n, limit=30).coeffs == ref
+        assert method(n, limit=DEFAULT_ENUM_LIMIT).coeffs == ref
+
+
+def test_hook_walk_divisions_are_exact():
+    # _hook_walk divides a subtree's sum by the squared hooks of the rows above a
+    # node, the rows of lambda over a bottom-rows prefix mu: their product must
+    # divide D = (n!)^2 for every lambda, walked or not
+    for n in range(13):
+        square = math.factorial(n) ** 2
+        for p in enumerate_partitions(n):
+            hooks = hook_lengths(p)  # row by row, top row first
+            for cut in accumulate(p.parts, initial=0):  # the top rows hold hooks[:cut]
+                assert square % math.prod(hooks[:cut]) ** 2 == 0, (p, cut)
+
+
+def test_block_walk_divisions_are_exact():
+    # _block_walk adds blocks of equal parts in ascending size; the blocks above
+    # a node are the largest ones, and their roots 1..g must divide D = n!
+    for n in range(13):
+        fact = math.factorial(n)
+        for p in enumerate_partitions(n):
+            sizes = sorted(multiplicities(p).items())
+            by_count = [k for _, k in sizes]  # the multiplicity roots 1..k_j
+            by_gap = [j - i for (i, _), (j, _) in zip([(0, 0)] + sizes, sizes)]  # trivial-leg roots 1..j - i
+            assert sorted(r for g in by_gap for r in range(1, g + 1)) == sorted(trivial_leg_hooks(p))
+            for gs in (by_count, by_gap):
+                for cut in range(len(gs) + 1):
+                    assert fact % math.prod(map(math.factorial, gs[cut:])) == 0, (p, gs, cut)
 
 
 def test_packed_slots_hold_the_extreme_term():
