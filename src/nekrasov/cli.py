@@ -80,14 +80,8 @@ def cmd_qpoly(args: argparse.Namespace) -> int:
         cap = darcais.enumeration_limit()
         if top > cap:  # refused at the first n the enumerating methods would refuse
             raise darcais.EnumerationLimitError(max(ns[0], cap + 1), cap)
-    if "recursion" in methods:  # one table build
-        darcais.q_table_via_recursion(top)
-    blocks = {m: [darcais.q_polynomial(n, m) for n in ns] for m in methods}
-    agree = all(
-        blocks[m][i].coeffs == blocks[methods[0]][i].coeffs
-        for m in methods
-        for i in range(len(ns))
-    )
+    blocks = {m: darcais.q_polynomials(ns, m) for m in methods}
+    agree = all(rows == blocks[methods[0]] for rows in blocks.values())
     labelled = args.method == "all"
 
     def payload():
@@ -158,14 +152,9 @@ def _checks_identities(n_max: int) -> list[tuple[str, bool]]:
         scale = ladder.denoms[k] * math.factorial(k)
         ok = ok and all(lhs[n] == Fraction(cauchy(rows[k], p, n), scale) for n in range(n_max + 1))
     checks.append(("generating-identity-per-k", ok))
-    enum_cap = min(n_max, darcais.enumeration_limit())
-    ok = True
-    for n in range(enum_cap + 1):
-        ref = darcais.q_via_recursion(n).coeffs
-        ok = ok and all(
-            darcais.q_polynomial(n, m).coeffs == ref for m in darcais.method_names()[1:]
-        )
-    checks.append(("four-way-agreement", ok))
+    ns = range(min(n_max, darcais.enumeration_limit()) + 1)
+    ref, *others = (darcais.q_polynomials(ns, m) for m in darcais.method_names())
+    checks.append(("four-way-agreement", all(rows == ref for rows in others)))
     table = darcais.q_table_via_recursion(n_max)
     checks.append((
         "edge-coefficients",

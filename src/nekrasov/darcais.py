@@ -10,11 +10,15 @@ the exact power ladder and P divided out by Euler's pentagonal recurrence, for
 n up to TABLE_LIMIT.  The enumeration methods have a configurable partition budget.
 
 Every route runs in integers over known denominators (k! D_k for column k of
-the table, n! for the trivial-leg hooks and the multiplicities, (n!)^2 for
-the hooks) and makes Fractions only for the values it returns.  An
-enumeration route sums each partition's prod (z + r) / prod r at z = 2^b
-(_packed_sum) in a depth-first walk whose steps return their subtree's packed
-sums, D entering at the leaves, divided exactly by the roots each step adds.
+the table, top! for the trivial-leg hooks and the multiplicities of a range
+of n up to top, (n!)^2 for the hooks) and makes Fractions only for the values
+it returns.  An enumeration route sums each partition's prod (z + r) / prod r
+at z = 2^b (_packed_rows) in a depth-first walk whose steps return their
+subtree's packed sums, D entering at the leaves, divided exactly by the roots
+each step adds.  q_polynomials computes a range of n at once: the two block
+walks cache each step's sum, a function of (remainder, last part size)
+alone, and share it across every parent and every n of the range; the hook
+walk's steps never recur, so it walks each n on its own.
 """
 
 from __future__ import annotations
@@ -23,8 +27,10 @@ import math
 import os
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import cache, partial
 from itertools import accumulate
 from operator import add, mul, sub
+from typing import Sequence
 
 from .partitions import partition_count
 from .series import RationalSeries, _PowerRow
@@ -50,6 +56,8 @@ class EnumerationLimitError(ValueError):
 def enumeration_limit(limit: int | None = None) -> int:
     """Resolve the partition-enumeration budget: argument, env var, default."""
     if limit is not None:
+        if limit < 0:
+            raise ValueError(f"the enumeration limit must be a non-negative integer, not {limit!r}")
         return limit
     env = os.environ.get(ENUM_LIMIT_ENV)
     if env is None:
@@ -75,29 +83,38 @@ class QPolynomial:
         return [f"{self.n} {k} {c}" for k, c in enumerate(self.coeffs)]
 
 
-def _packed_sum(n: int, fact_power: int, limit: int | None, walk) -> QPolynomial:
-    """Q_n from walk(n, D, z) = sum over the partitions of n of (D / prod r) prod (z + r).
+def _enumerable_top(ns: Sequence[int], limit: int | None) -> int:
+    """The largest n of ns, once a negative n or an n above the enumeration budget is refused."""
+    if min(ns) < 0:
+        raise ValueError("n must be non-negative")
+    cap = enumeration_limit(limit)
+    top = max(ns)
+    if top > cap:
+        raise EnumerationLimitError(min(n for n in ns if n > cap), cap)
+    return top
+
+
+def _packed_rows(ns: Sequence[int], fact_power: int, limit: int | None, walk) -> list[QPolynomial]:
+    """Q_n for each n in ns from walk(top, D, z), top = max(ns): a function of n <= top
+    giving the sum over the partitions of n of (D / prod r) prod (z + r).
 
     r runs over the partition's roots (squared hooks, trivial-leg hooks, or
     1..k_j for each part multiplicity k_j).  Every prod r divides
-    D = (n!)^fact_power (the squared hooks multiply to (n!/f_lambda)^2, the
-    trivial-leg hooks to factorials of row-length differences, and the 1..k_j
-    to prod k_j! with sum k_j <= n), so the walk sums in integers at z = 2^b,
-    read back as n + 1 slots of b bits.  Each term has non-negative
-    coefficients summing to D prod (1 + 1/r) <= D 2^n (at most n roots
-    r >= 1), so every coefficient of the sum is at most p(n) D 2^n < 2^(b-1)
-    and no slot carries into the next.
+    (n!)^fact_power, and so D = (top!)^fact_power (the squared hooks multiply
+    to (n!/f_lambda)^2, the trivial-leg hooks to factorials of row-length
+    differences, and the 1..k_j to prod k_j! with sum k_j <= n), so the walk
+    sums in integers at z = 2^b, read back as n + 1 slots of b bits.  Each
+    term has non-negative coefficients summing to D prod (1 + 1/r) <= D 2^n
+    (at most n roots r >= 1), so every coefficient of row n is at most
+    p(n) D 2^n <= p(top) D 2^top < 2^(b-1) and no slot carries into the next.
     """
-    if n < 0:
-        raise ValueError("n must be non-negative")
-    cap = enumeration_limit(limit)
-    if n > cap:
-        raise EnumerationLimitError(n, cap)
-    denom = math.factorial(n) ** fact_power
-    b = (partition_count(n) * denom).bit_length() + n + 1
+    top = _enumerable_top(ns, limit)
+    denom = math.factorial(top) ** fact_power
+    b = (partition_count(top) * denom).bit_length() + top + 1
     z = 1 << b
-    total = walk(n, denom, z)
-    return QPolynomial(n, tuple(Fraction(total >> (b * k) & (z - 1), denom) for k in range(n + 1)))
+    total = walk(top, denom, z)
+    return [QPolynomial(n, tuple(Fraction(t >> (b * k) & (z - 1), denom) for k in range(n + 1)))
+            for n, t in zip(ns, map(total, ns))]
 
 
 def _blocks(z: int, n: int, power: int) -> tuple[list[int], list[int]]:
@@ -107,21 +124,25 @@ def _blocks(z: int, n: int, power: int) -> tuple[list[int], list[int]]:
             list(accumulate(roots, mul, initial=1)))
 
 
-def _block_walk(n: int, denom: int, z: int, by_gap: bool) -> int:
-    """The packed sum over the partitions of n whose roots come in blocks 1..g.
+def _block_walk(top: int, denom: int, z: int, by_gap: bool):
+    """n -> the packed sum over the partitions of n <= top whose roots come in blocks 1..g.
 
-    A depth-first walk adds one block of k equal parts j per step, the part
-    sizes ascending.  A step returns its subtree's packed sum, each child's
-    divided by g! (exactly: a partition's roots multiply to a divisor of D)
-    and multiplied by (z + 1)...(z + g).  For the multiplicities g = k.  For
-    the trivial-leg hooks g = j - i, with i the next smaller part size or 0:
-    only the last row of the block has cells of leg 0 and their hooks are
-    1..j - i.  A step that leaves a remainder leaves more than j, so every
-    branch ends in a partition (the remainder as one part).
+    step(rem, prev) is the packed sum over the partitions of rem into parts
+    above prev.  It adds one block of k equal parts j > prev and takes each
+    child's sum, over the rest, divided by g! (exactly: a partition's roots
+    multiply to a divisor of D) and multiplied by (z + 1)...(z + g).  For the
+    multiplicities g = k.  For the trivial-leg hooks g = j - prev: only the
+    last row of the block has cells of leg 0 and their hooks are 1..j - prev.
+    A step that leaves a remainder leaves more than j, so every branch ends in
+    a partition (the remainder as one part).  D and z are fixed by top, so a
+    step depends on (rem, prev) alone, and one cache of it serves every
+    parent and every n <= top: row n reads step(n, 0), and each state is
+    summed once per range.  A state's sum still holds one term per partition.
     """
-    blocks, facts = _blocks(z, n, 1)
+    blocks, facts = _blocks(z, top, 1)
     leaves = [denom // f * b for f, b in zip(facts, blocks)]  # a last block of g roots
 
+    @cache
     def step(rem: int, prev: int) -> int:
         acc = leaves[rem - prev if by_gap else min(rem, 1)]  # the remainder as one part (none for n = 0)
         for j in range(prev + 1, rem // 2 + 1):
@@ -138,11 +159,11 @@ def _block_walk(n: int, denom: int, z: int, by_gap: bool) -> int:
                 acc += below // facts[j - prev] * blocks[j - prev]
         return acc
 
-    return step(n, 0)
+    return lambda n: step(n, 0)
 
 
-def _hook_walk(n: int, denom: int, z: int) -> int:
-    """The packed sum of (D / prod h^2) prod (z + h^2) over the hooks h of every partition of n.
+def _hook_walk(n_max: int, denom: int, z: int):
+    """n -> the packed sum of (D / prod h^2) prod (z + h^2) over the partitions of n <= n_max.
 
     A depth-first walk builds lambda from the bottom row up.  Over rows whose
     top row has length t and whose columns have heights col, a new top row
@@ -153,9 +174,11 @@ def _hook_walk(n: int, denom: int, z: int) -> int:
     a row a term of lambda is D / prod_{lambda/mu} h^2 = (f_lambda prod_mu h)^2.
     lambda and its conjugate have the same hooks, so only the partitions with
     lambda_1 >= l(lambda) are walked, with weight 2 when lambda_1 > l(lambda).
+    A state (rem, base) fixes the rows below it, and so the partition and n:
+    no state recurs, and q_via_hooks walks each n on its own.
     """
-    blocks, facts = _blocks(z, n, 2)
-    factors = [z + h * h for h in range(n + 1)]  # no hook exceeds n
+    blocks, facts = _blocks(z, n_max, 2)
+    factors = [z + h * h for h in range(n_max + 1)]  # no hook exceeds n
 
     def place(packed: int, base: list[int], L: int) -> int:
         hooks = [L + c for c in base]
@@ -174,22 +197,33 @@ def _hook_walk(n: int, denom: int, z: int) -> int:
             acc += place(step(rem - L, depth + 1, above), base, L)
         return acc
 
-    return step(n, 0, [])
+    return lambda n: step(n, 0, [])
 
 
 def q_via_hooks(n: int, limit: int | None = None) -> QPolynomial:
     """Q_n from the full hook products prod (1 + z/h^2) over all partitions."""
-    return _packed_sum(n, 2, limit, _hook_walk)
+    return _packed_rows((n,), 2, limit, _hook_walk)[0]
+
+
+def _hook_rows(ns: Sequence[int], limit: int | None = None) -> list[QPolynomial]:
+    """One hook walk per n of ns, once the whole range is checked."""
+    _enumerable_top(ns, limit)
+    return [q_via_hooks(n, limit) for n in ns]
+
+
+def _block_rows(ns: Sequence[int], limit: int | None = None, *, by_gap: bool) -> list[QPolynomial]:
+    """Q_n for each n of ns from one memoised block walk over the range."""
+    return _packed_rows(ns, 1, limit, partial(_block_walk, by_gap=by_gap))
 
 
 def q_via_trivial_hooks(n: int, limit: int | None = None) -> QPolynomial:
     """Q_n from products prod (1 + z/h) over the trivial-leg hooks only."""
-    return _packed_sum(n, 1, limit, lambda n, denom, z: _block_walk(n, denom, z, by_gap=True))
+    return _block_rows((n,), limit, by_gap=True)[0]
 
 
 def q_via_multiplicities(n: int, limit: int | None = None) -> QPolynomial:
     """Q_n from prod_j binom(k_j + z, k_j) = prod_j (z+1)...(z+k_j)/k_j! over all partitions."""
-    return _packed_sum(n, 1, limit, lambda n, denom, z: _block_walk(n, denom, z, by_gap=False))
+    return _block_rows((n,), limit, by_gap=False)[0]
 
 
 def check_table_limit(n: int, name: str = "n") -> None:
@@ -300,11 +334,17 @@ def a_cross_recursion(a: int, b: int, n: int) -> Fraction:
     return Fraction(acc, math.factorial(b) * _ladder.denoms[a] * _ladder.powers.denoms[b - a])
 
 
+def _recursion_rows(ns: Sequence[int]) -> list[QPolynomial]:
+    """Q_n for each n of ns, read off one table build to max(ns)."""
+    table = q_table_via_recursion(max(ns))
+    return [table[n] for n in ns]
+
+
 _METHODS = {
-    "recursion": q_via_recursion,
-    "hooks": q_via_hooks,
-    "trivial-hooks": q_via_trivial_hooks,
-    "multiplicities": q_via_multiplicities,
+    "recursion": _recursion_rows,
+    "hooks": _hook_rows,
+    "trivial-hooks": partial(_block_rows, by_gap=True),
+    "multiplicities": partial(_block_rows, by_gap=False),
 }
 
 
@@ -312,10 +352,23 @@ def method_names() -> list[str]:
     return list(_METHODS)
 
 
-def q_polynomial(n: int, method: str = "recursion") -> QPolynomial:
-    """Compute Q_n by the named method."""
+def q_polynomials(ns: Sequence[int], method: str = "recursion") -> list[QPolynomial]:
+    """Q_n for every n of ns by the named method, in the order of ns.
+
+    A negative n, or for an enumerating method an n above the budget, is
+    refused before any row is built.  The recursion reads one table build to
+    max(ns), the two block routes sum the whole range in one memoised walk,
+    and the hooks walk each n on its own.
+    """
     try:
-        fn = _METHODS[method]
+        rows = _METHODS[method]
     except KeyError:
         raise ValueError(f"unknown method {method!r} (known: {method_names()})") from None
-    return fn(n)
+    if min(ns) < 0:
+        raise ValueError("n must be non-negative")
+    return rows(ns)
+
+
+def q_polynomial(n: int, method: str = "recursion") -> QPolynomial:
+    """Compute Q_n by the named method: the one-row case of q_polynomials."""
+    return q_polynomials((n,), method)[0]

@@ -197,9 +197,11 @@ def test_scan_out_file(tmp_path, capsys):
 @pytest.mark.parametrize("where", ["missing-directory", "directory"])
 def test_unwritable_out_exits_2(tmp_path, capsys, monkeypatch, argv, where):
     # refused before the result is computed: aborted, not a violation, and nothing written
-    module, name = {"qpoly": (darcais, "q_polynomial"), "scan": (analysis, "scan_conjecture")}[argv[0]]
+    module, names = {"qpoly": (darcais, ("q_polynomial", "q_polynomials")),
+                     "scan": (analysis, ("scan_conjecture",))}[argv[0]]
     calls = []
-    monkeypatch.setattr(module, name, lambda *a, **kw: calls.append(a))
+    for name in names:
+        monkeypatch.setattr(module, name, lambda *a, **kw: calls.append(a))
     target = tmp_path / "missing" / "out.txt" if where == "missing-directory" else tmp_path
     code, out, err = run(capsys, *argv, "--out", str(target))
     assert code == EXIT_ABORTED
@@ -444,7 +446,7 @@ def test_q_table_size_above_limit_exits_2(capsys, monkeypatch, argv):
     def ran(*args):
         raise AssertionError("the size check came too late")
 
-    for name in ("q_polynomial", "coefficient_series", "q_table_via_recursion"):
+    for name in ("q_polynomial", "q_polynomials", "coefficient_series", "q_table_via_recursion"):
         monkeypatch.setattr(darcais, name, ran)
     monkeypatch.setattr(series, "partition_series", ran)
     table = darcais._QTable()
@@ -462,13 +464,26 @@ def test_qpoly_range_past_enumeration_limit_exits_2_before_any_row(capsys, monke
     def ran(*args):
         raise AssertionError("a row was built before the refusal")
 
-    monkeypatch.setattr(darcais, "q_table_via_recursion", ran)
-    monkeypatch.setattr(darcais, "q_polynomial", ran)
+    for name in ("q_table_via_recursion", "q_polynomial", "q_polynomials"):
+        monkeypatch.setattr(darcais, name, ran)
     monkeypatch.delenv(darcais.ENUM_LIMIT_ENV, raising=False)
     code, out, err = run(capsys, "qpoly", "--n", "0..40", "--method", method)
     assert code == EXIT_ABORTED
     assert out == ""
     assert f"n=33 exceeds the enumeration limit {darcais.DEFAULT_ENUM_LIMIT}" in err
+
+
+@pytest.mark.parametrize("method", ["multiplicities", "trivial-hooks", "hooks", "recursion", "all"])
+def test_qpoly_negative_n_in_a_range_exits_2_before_any_row(capsys, monkeypatch, method):
+    def ran(*args, **kwargs):
+        raise AssertionError("a row was built before the refusal")
+
+    for name in ("_block_walk", "_hook_walk", "q_table_via_recursion"):
+        monkeypatch.setattr(darcais, name, ran)
+    code, out, err = run(capsys, "qpoly", "--n=-1..3", "--method", method)
+    assert code == EXIT_ABORTED
+    assert out == ""
+    assert err.strip() == "nekrasov: n must be non-negative"
 
 
 @pytest.mark.parametrize("argv, top", [
@@ -636,15 +651,15 @@ def test_qpoly_disagreement_exit_status(capsys, monkeypatch):
 
     from nekrasov import darcais
 
-    real = darcais.q_polynomial
+    real = darcais.q_polynomials
 
-    def skewed(n, method="recursion"):
-        q = real(n, method)
+    def skewed(ns, method="recursion"):
+        rows = real(ns, method)
         if method == "hooks":
-            return darcais.QPolynomial(q.n, (q.coeffs[0] + 1,) + q.coeffs[1:])
-        return q
+            return [darcais.QPolynomial(q.n, (q.coeffs[0] + 1,) + q.coeffs[1:]) for q in rows]
+        return rows
 
-    monkeypatch.setattr(darcais, "q_polynomial", skewed)
+    monkeypatch.setattr(darcais, "q_polynomials", skewed)
     code, out, _ = run(capsys, "qpoly", "--n", "2", "--method", "all")
     assert code == 1
     assert "# verdict disagree" in out

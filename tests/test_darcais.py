@@ -1,5 +1,6 @@
 """The four Q_n computation routes and the cross recursion."""
 
+import functools
 import math
 import random
 from fractions import Fraction
@@ -14,12 +15,13 @@ from nekrasov.darcais import (
     TABLE_LIMIT,
     EnumerationLimitError,
     QPolynomial,
-    _packed_sum,
+    _packed_rows,
     _QTable,
     a_cross_recursion,
     coefficient_series,
     enumeration_limit,
     q_polynomial,
+    q_polynomials,
     q_table_via_recursion,
     q_via_hooks,
     q_via_multiplicities,
@@ -118,6 +120,23 @@ def test_enumeration_limit_env(monkeypatch):
     monkeypatch.delenv("NEKRASOV_ENUM_LIMIT")
     assert enumeration_limit() == 32
     assert enumeration_limit(5) == 5
+
+
+@pytest.mark.parametrize("route", [q_via_hooks, q_via_trivial_hooks, q_via_multiplicities])
+def test_negative_explicit_enumeration_limit_refused(monkeypatch, route):
+    # refused like a negative NEKRASOV_ENUM_LIMIT, before any walk, not as a budget n = 0 exceeds
+    assert route(0, limit=0).coeffs == KNOWN[0]
+
+    def ran(*args, **kwargs):
+        raise AssertionError("a walk started before the refusal")
+
+    monkeypatch.setattr(darcais, "_block_walk", ran)
+    monkeypatch.setattr(darcais, "_hook_walk", ran)
+    with pytest.raises(ValueError, match="the enumeration limit must be a non-negative integer, not -1") as info:
+        route(0, limit=-1)
+    assert not isinstance(info.value, EnumerationLimitError)
+    with pytest.raises(ValueError, match="not -1"):
+        enumeration_limit(-1)
 
 
 def test_recursion_has_no_enumeration_limit():
@@ -553,26 +572,120 @@ def test_hook_walk_divisions_are_exact():
 
 def test_block_walk_divisions_are_exact():
     # _block_walk adds blocks of equal parts in ascending size; the blocks above
-    # a node are the largest ones, and their roots 1..g must divide D = n!
-    for n in range(13):
-        fact = math.factorial(n)
-        for p in enumerate_partitions(n):
-            sizes = sorted(multiplicities(p).items())
-            by_count = [k for _, k in sizes]  # the multiplicity roots 1..k_j
-            by_gap = [j - i for (i, _), (j, _) in zip([(0, 0)] + sizes, sizes)]  # trivial-leg roots 1..j - i
-            assert sorted(r for g in by_gap for r in range(1, g + 1)) == sorted(trivial_leg_hooks(p))
-            for gs in (by_count, by_gap):
-                for cut in range(len(gs) + 1):
-                    assert fact % math.prod(map(math.factorial, gs[cut:])) == 0, (p, gs, cut)
+    # a node are the largest ones, and their roots 1..g must divide D = top!, the
+    # one denominator of a range whose largest n is top, for every n <= top
+    for top in range(13):
+        fact = math.factorial(top)
+        for n in range(top + 1):
+            for p in enumerate_partitions(n):
+                sizes = sorted(multiplicities(p).items())
+                by_count = [k for _, k in sizes]  # the multiplicity roots 1..k_j
+                by_gap = [j - i for (i, _), (j, _) in zip([(0, 0)] + sizes, sizes)]  # trivial-leg roots 1..j - i
+                assert sorted(r for g in by_gap for r in range(1, g + 1)) == sorted(trivial_leg_hooks(p))
+                for gs in (by_count, by_gap):
+                    for cut in range(len(gs) + 1):
+                        assert fact % math.prod(map(math.factorial, gs[cut:])) == 0, (p, gs, cut, top)
 
 
 def test_packed_slots_hold_the_extreme_term():
     # n roots equal to 1 reach the slot bound D prod (1 + 1/r) = D 2^n, so a walk
     # adding D (1 + z)^n per partition sums p(n) (1 + z)^n, whose largest
-    # coefficient p(n) binom(n, n/2) D must come back from the real slot width
-    def extreme_walk(n, denom, z):
-        return sum(denom * (z + 1) ** n for _ in enumerate_partitions(n))
+    # coefficient p(n) binom(n, n/2) D must come back from the real slot width;
+    # over a range, the top sets D = top! and b for every smaller n as well
+    def extreme_walk(top, denom, z):
+        return lambda n: sum(denom * (z + 1) ** n for _ in enumerate_partitions(n))
 
-    for n in range(25):
-        expected = tuple(Fraction(partition_count(n) * math.comb(n, k)) for k in range(n + 1))
-        assert _packed_sum(n, 1, None, extreme_walk).coeffs == expected
+    for ns in [*((n,) for n in range(25)), range(25), range(20, 25), (24, 0, 13)]:
+        rows = _packed_rows(ns, 1, None, extreme_walk)
+        assert [q.n for q in rows] == list(ns)
+        for q in rows:
+            assert q.coeffs == tuple(Fraction(partition_count(q.n) * math.comb(q.n, k)) for k in range(q.n + 1))
+
+
+# ---------------------------------------------------------------------------
+# Ranges of n: q_polynomials and the memoised block walks
+# ---------------------------------------------------------------------------
+
+BLOCK_ROUTES = {
+    "trivial-hooks": lambda p: hook_term(trivial_leg_hooks(p), 1),
+    "multiplicities": lambda p: q_coeff_numerators(multiplicities(p).values()),
+}
+
+
+@pytest.fixture(scope="module")
+def block_oracle_rows():
+    # the per-partition integer oracle, each n over its own n!, and the Fraction oracle
+    rows = {m: [integer_poly_sum(n, term, 1) for n in range(25)] for m, term in BLOCK_ROUTES.items()}
+    assert rows["multiplicities"][:17] == [fraction_multiplicity_sum(n) for n in range(17)]
+    return rows
+
+
+@pytest.mark.parametrize("method", list(BLOCK_ROUTES))
+def test_block_ranges_match_the_per_partition_oracles(method, block_oracle_rows):
+    # every range lo..hi with 0 <= lo <= hi <= 24, one memoised walk each
+    oracle = block_oracle_rows[method]
+    one_row = {n: q_polynomial(n, method).coeffs for n in range(25)}
+    assert [one_row[n] for n in range(25)] == oracle
+    for hi in range(25):
+        for lo in range(hi + 1):
+            rows = q_polynomials(range(lo, hi + 1), method)
+            assert [q.n for q in rows] == list(range(lo, hi + 1))
+            assert [q.coeffs for q in rows] == oracle[lo : hi + 1], (lo, hi)
+
+
+@pytest.mark.parametrize("method", list(BLOCK_ROUTES))
+def test_block_range_sums_each_state_once(monkeypatch, method):
+    # step(rem, prev) is a function of its two arguments once D and b are fixed by
+    # the top of the range: 0..22 has 133 states, each summed once by one walk,
+    # where walks of each n apart would sum 3507 steps
+    walks = []
+
+    def counting_cache(fn):
+        evaluated = []
+        walks.append(evaluated)
+
+        def body(*args):
+            evaluated.append(args)
+            return fn(*args)
+
+        return functools.cache(body)
+
+    monkeypatch.setattr(darcais, "cache", counting_cache)
+    rows = q_polynomials(range(23), method)
+    assert rows == q_table_via_recursion(22)
+    assert len(walks) == 1
+    assert len(walks[0]) == len(set(walks[0])) == 133
+
+
+def test_q_polynomials_reads_every_route_in_order():
+    ns = (7, 0, 3, 7)
+    for method in darcais.method_names():
+        rows = q_polynomials(ns, method)
+        assert rows == [q_polynomial(n, method) for n in ns]
+        assert rows == [q_via_recursion(n) for n in ns]
+    with pytest.raises(ValueError, match="unknown method 'nope'"):
+        q_polynomials(range(3), "nope")
+
+
+@pytest.mark.parametrize("method", ["recursion", "hooks", "trivial-hooks", "multiplicities"])
+def test_q_polynomials_refuses_a_negative_n_before_any_work(monkeypatch, method):
+    def ran(*args, **kwargs):
+        raise AssertionError("work started before the refusal")
+
+    for name in ("_block_walk", "_hook_walk", "q_table_via_recursion", "enumeration_limit"):
+        monkeypatch.setattr(darcais, name, ran)
+    for ns in (range(-1, 4), (3, 2, -5)):
+        with pytest.raises(ValueError, match="n must be non-negative"):
+            q_polynomials(ns, method)
+
+
+@pytest.mark.parametrize("method", ["hooks", "trivial-hooks", "multiplicities"])
+def test_q_polynomials_refuses_a_range_past_the_limit_before_any_walk(monkeypatch, method):
+    def ran(*args, **kwargs):
+        raise AssertionError("a walk started before the refusal")
+
+    monkeypatch.setattr(darcais, "_block_walk", ran)
+    monkeypatch.setattr(darcais, "_hook_walk", ran)
+    monkeypatch.delenv(darcais.ENUM_LIMIT_ENV, raising=False)
+    with pytest.raises(EnumerationLimitError, match=f"n=33 exceeds the enumeration limit {DEFAULT_ENUM_LIMIT}"):
+        q_polynomials(range(40), method)
